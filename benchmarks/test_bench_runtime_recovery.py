@@ -7,8 +7,8 @@ campaign executed three ways —
 - **bare** — the unsupervised shard pool (the pre-runtime baseline);
 - **supervised** — the :class:`repro.runtime.ShardSupervisor` wrapping
   the identical shards, no faults injected (its overhead is the
-  recorded trend and the ``<= 5 %`` CI gate, measured as the best
-  paired ratio over interleaved timing rounds);
+  recorded trend and the ``<= 5 %`` CI gate, measured as the median
+  paired ratio over interleaved timing rounds, with its quartiles);
 - **recovered** — supervised with one seeded worker crash, measuring
   the wall cost of detect + backoff + retry (*time to recover* =
   recovered wall minus the supervised wall).
@@ -21,6 +21,8 @@ Environment knobs: ``REPRO_BENCH_SEED`` and ``REPRO_BENCH_ROUNDS`` as
 for the walk-batching bench.
 """
 
+import gc
+import statistics
 import time
 
 import pytest
@@ -32,13 +34,17 @@ from repro.vantage import FleetConfig, run_fleet_sharded
 
 RUNTIME_VANTAGES = 4
 RUNTIME_TARGETS = 12
-#: Measurement rounds.  The modes are timed *interleaved* (bare,
-#: supervised, recovered, repeat) after one discarded warmup, and the
-#: gated overhead is the best **paired** supervised/bare ratio across
-#: rounds: a genuine constant overhead shows up in every round, while
-#: one-sided scheduler noise only inflates some of them — min over
-#: paired ratios is a noise-robust lower bound on the true overhead.
-BEST_OF = 5
+#: Measurement rounds.  The modes are timed *interleaved* after one
+#: discarded warmup, in reverse order every other round so neither side
+#: of a pair always runs first.  The gated overhead is the **median** of the per-round paired
+#: supervised/bare ratios, reported with its quartiles: a genuine
+#: constant overhead moves every pair, while one noisy round moves the
+#: median little.  (A minimum over the pairs would let one lucky round
+#: hide any real overhead, so a gate on it could hardly fail.)  On a
+#: shared 2-vCPU host the per-round ratios spread about 0.97-1.12
+#: between their quartiles; the rounds are what keep the median's own
+#: wobble well inside the 5 % gate.
+TIMING_ROUNDS = 15
 
 
 def runtime_internet(seed):
@@ -50,27 +56,27 @@ def runtime_internet(seed):
         n_vantages=RUNTIME_VANTAGES)
 
 
-def _timed_interleaved(runs, repeats=BEST_OF):
-    """Best wall and last result per mode, timed round-robin.
+def _timed_interleaved(runs, repeats=TIMING_ROUNDS):
+    """Per-round walls and the last result per mode, timed round-robin.
 
     ``runs`` maps mode name to a zero-argument callable; one untimed
     warmup of the first mode absorbs import and allocator cold-start
-    before any timing begins.
+    before any timing begins, and a collection before each timed run
+    keeps one mode's garbage out of the next one's wall.
     """
     next(iter(runs.values()))()
-    best = {name: None for name in runs}
     results = {}
     rounds = []
-    for __ in range(repeats):
+    for index in range(repeats):
         walls = {}
-        for name, run in runs.items():
+        order = list(runs.items())
+        for name, run in order if index % 2 == 0 else order[::-1]:
+            gc.collect()
             started = time.perf_counter()
             results[name] = run()
             walls[name] = time.perf_counter() - started
-            best[name] = (walls[name] if best[name] is None
-                          else min(best[name], walls[name]))
         rounds.append(walls)
-    return best, results, rounds
+    return results, rounds
 
 
 def run_runtime_leg(seed=BENCH_SEED, rounds=2):
@@ -99,13 +105,15 @@ def run_runtime_leg(seed=BENCH_SEED, rounds=2):
                 backoff=BackoffPolicy(base=0.01, cap=0.05),
                 chaos=ChaosPlan.of(("shard-v0-2", 0, "crash"))))
 
-    walls, results, rounds = _timed_interleaved(
+    results, rounds = _timed_interleaved(
         {"bare": bare, "supervised": supervised,
          "recovered": recovered})
-    bare_wall = walls["bare"]
-    supervised_wall = walls["supervised"]
-    recovered_wall = walls["recovered"]
-    overhead_ratio = min(r["supervised"] / r["bare"] for r in rounds)
+    bare_wall, supervised_wall, recovered_wall = (
+        statistics.median(r[name] for r in rounds)
+        for name in ("bare", "supervised", "recovered"))
+    ratios = [r["supervised"] / r["bare"] for r in rounds]
+    overhead_ratio = statistics.median(ratios)
+    overhead_q1, __, overhead_q3 = statistics.quantiles(ratios, n=4)
 
     signatures = {results["bare"].signature(),
                   results["supervised"].signature(),
@@ -115,6 +123,8 @@ def run_runtime_leg(seed=BENCH_SEED, rounds=2):
         "bare_wall_s": bare_wall,
         "supervised_wall_s": supervised_wall,
         "overhead_ratio": overhead_ratio,
+        "overhead_q1": overhead_q1,
+        "overhead_q3": overhead_q3,
         "recovered_wall_s": recovered_wall,
         "time_to_recover_s": max(0.0, recovered_wall - supervised_wall),
         "signature_match": len(signatures) == 1,
@@ -139,6 +149,8 @@ def test_bench_runtime_recovery(benchmark):
         "bare_wall_s": round(leg["bare_wall_s"], 3),
         "supervised_wall_s": round(leg["supervised_wall_s"], 3),
         "overhead_ratio": round(leg["overhead_ratio"], 3),
+        "overhead_q1": round(leg["overhead_q1"], 3),
+        "overhead_q3": round(leg["overhead_q3"], 3),
         "recovered_wall_s": round(leg["recovered_wall_s"], 3),
         "time_to_recover_s": round(leg["time_to_recover_s"], 3),
         "signature_match": leg["signature_match"],
@@ -146,7 +158,8 @@ def test_bench_runtime_recovery(benchmark):
     print()
     print(f"  runtime: bare {leg['bare_wall_s']:.3f}s -> supervised "
           f"{leg['supervised_wall_s']:.3f}s "
-          f"({leg['overhead_ratio']:.3f}x overhead)")
+          f"({leg['overhead_ratio']:.3f}x overhead, quartiles "
+          f"{leg['overhead_q1']:.3f}-{leg['overhead_q3']:.3f})")
     print(f"  recovery: 1 injected crash, {leg['incidents']} "
           f"incident(s), wall {leg['recovered_wall_s']:.3f}s "
           f"(+{leg['time_to_recover_s']:.3f}s to recover)")
@@ -156,6 +169,6 @@ def test_bench_runtime_recovery(benchmark):
     # The crash was actually injected and actually recovered.
     assert leg["incidents"] == 1
     assert not leg["degraded"]
-    # Supervision stays cheap (the persisted gate uses best-of-N too;
-    # the in-test bound is looser to tolerate a noisy first run).
+    # Supervision stays cheap (the persisted gate holds the same median
+    # to 5 %; the in-test bound is looser to tolerate a noisy host).
     assert leg["overhead_ratio"] < 1.5

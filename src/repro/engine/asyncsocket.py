@@ -1,21 +1,23 @@
 """The non-blocking probe socket.
 
 Same contract as :class:`repro.sim.socketapi.ProbeSocket` at the wire
-boundary — probes go down as bytes and are parsed (and validated)
-here, responses come back up as bytes and are re-parsed — but nothing
-blocks: :meth:`AsyncProbeSocket.send_nowait` stages a probe and
-returns immediately with its delivery deadline, :meth:`flush` walks the
-staged cohort through :meth:`Network.submit_cohort`, and :meth:`poll`
-surfaces whatever responses have *arrived* by the given time.  Matching
-responses back to probes is the scheduler's job (it has the builders);
-the socket only moves packets.
+boundary — probes sent as bytes are parsed (and validated) here, and
+every probe must come from the vantage point — but nothing blocks:
+:meth:`AsyncProbeSocket.send_nowait` stages a probe and returns
+immediately with its delivery deadline, :meth:`flush` walks the staged
+cohort through :meth:`Network.submit_cohort`, and :meth:`poll`
+surfaces whatever responses have *arrived* by the given time.  Packets
+cross in both directions as they are: a probe :class:`Packet` was
+checked when it was made, and a response's wire bytes are serialised
+only if something reads :attr:`ProbeResponse.raw`.  Matching responses
+back to probes is the scheduler's job (it has the builders); the
+socket only moves packets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import TracerError
 from repro.net.packet import Packet
 from repro.obs.registry import active_registry
 from repro.sim.endhost import MeasurementHost
@@ -25,6 +27,7 @@ from repro.sim.socketapi import (
     ProbeResponse,
     parse_probe,
     require_vantage_point,
+    require_vantage_source,
 )
 
 
@@ -90,35 +93,21 @@ class AsyncProbeSocket:
         """The vantage point's IP address (probe Source Address)."""
         return self.host.address
 
-    def send_nowait(self, probe_bytes: bytes,
-                    timeout: float | None = None,
-                    packet: Packet | None = None) -> SentProbe:
+    def send_nowait(self, probe: bytes | Packet,
+                    timeout: float | None = None) -> SentProbe:
         """Stage one probe for the next :meth:`flush`; never blocks.
 
-        Validation matches the blocking socket: the bytes must parse as
-        a packet sourced at the vantage point.  ``packet`` is the
-        zero-copy path for callers that built ``probe_bytes`` from a
-        :class:`Packet` they still hold (the scheduler's pump): the
-        serialize→reparse round trip is skipped and only the vantage
-        source check runs — the bytes and the packet are the same
-        immutable object's wire form.  The returned deadline is ``now +
-        timeout`` — the instant after which silence becomes a star.
+        ``probe`` is wire bytes, parsed and validated as the blocking
+        socket's are, or a :class:`Packet`, staged as it is: its fields
+        were checked when it was made (:meth:`Packet.make`), so only
+        the check that it comes from the vantage point runs.  The
+        returned deadline is ``now + timeout`` — the instant after
+        which silence becomes a star.
         """
-        if packet is not None:
-            wire = packet.build()
-            if wire is not probe_bytes and wire != probe_bytes:
-                raise TracerError(
-                    "send_nowait packet= does not serialize to the "
-                    "probe bytes passed alongside it"
-                )
-            if packet.src != self.host.address:
-                raise TracerError(
-                    f"probe source {packet.src} is not the vantage point "
-                    f"address {self.host.address}"
-                )
-            probe = packet
+        if isinstance(probe, Packet):
+            require_vantage_source(probe, self.host)
         else:
-            probe = parse_probe(probe_bytes, self.host)
+            probe = parse_probe(probe, self.host)
         self.probes_sent += 1
         self._outbox.append(probe)
         now = self.network.clock.now
@@ -155,19 +144,17 @@ class AsyncProbeSocket:
     def poll(self, until: float | None = None) -> list[ProbeResponse]:
         """Responses that reached the vantage point by ``until``.
 
-        ``raw`` carries the wire bytes as the blocking socket's would;
-        the packet itself is handed over zero-copy (it is a frozen
-        dataclass, and serialisation materialises the same checksums a
-        re-parse would read), which is where an event engine sheds the
-        per-read allocation cost of the stop-and-wait socket.  ``rtt``
-        is the walk's elapsed time (send instant to arrival).
+        The packet is handed over zero-copy (it is a frozen dataclass)
+        and ``raw`` serialises it only when read, which is where an
+        event engine sheds the per-read allocation cost of the
+        stop-and-wait socket's bytes→parse round trip.  ``rtt`` is the
+        walk's elapsed time (send instant to arrival).
         """
         responses: list[ProbeResponse] = []
         for arrival, delivery in self.network.deliveries(until=until,
                                                          node=self.host):
             responses.append(ProbeResponse(
                 packet=delivery.packet,
-                raw=delivery.packet.build(),
                 rtt=delivery.elapsed,
                 received_at=arrival,
             ))

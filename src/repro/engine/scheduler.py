@@ -754,9 +754,7 @@ class ProbeScheduler:
                 timeout = request.timeout
             else:
                 timeout = lane.timeout_policy.timeout_for()
-            sent = lane.socket.send_nowait(request.probe.build(),
-                                           timeout=timeout,
-                                           packet=request.probe)
+            sent = lane.socket.send_nowait(request.probe, timeout=timeout)
             probe_id = self._next_probe_id
             self._next_probe_id += 1
             keys = probe_match_keys(request.probe)

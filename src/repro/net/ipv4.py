@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.errors import ChecksumError, FieldValueError, TruncatedPacketError
 from repro.net.inet import (
@@ -33,6 +33,9 @@ DEFAULT_ROUTER_TTL = 255
 DEFAULT_HOST_TTL = 64
 
 _STRUCT = struct.Struct("!BBHHHBBH4s4s")
+
+#: Instance allocation without ``__init__``, for the trusted copies.
+_new = object.__new__
 
 
 class IPProtocol(enum.IntEnum):
@@ -170,15 +173,55 @@ class IPv4Header:
         """A copy with TTL reduced by one (router forwarding step)."""
         if self.ttl == 0:
             raise FieldValueError("ttl", self.ttl, "cannot decrement below zero")
-        return replace(self, ttl=self.ttl - 1)
+        return self._derived(self.ttl - 1, self.identification)
 
     def with_ttl(self, ttl: int) -> "IPv4Header":
         """A copy with the TTL replaced."""
-        return replace(self, ttl=ttl)
+        if type(ttl) is not int or not 0 <= ttl <= 0xFF:
+            require_u8("ttl", ttl)
+        return self._derived(ttl, self.identification)
 
     def with_identification(self, identification: int) -> "IPv4Header":
         """A copy with the Identification field replaced."""
-        return replace(self, identification=identification)
+        if (type(identification) is not int
+                or not 0 <= identification <= 0xFFFF):
+            require_u16("identification", identification)
+        return self._derived(self.ttl, identification)
+
+    def _derived(self, ttl: int, identification: int) -> "IPv4Header":
+        """A copy with TTL and Identification set, without re-validation.
+
+        Every other field comes from this already-validated header and
+        the caller has range-checked the two it sets, so ``__init__``
+        and ``__post_init__`` (what ``dataclasses.replace`` would run)
+        have nothing left to catch.  Byte-identical to the validated
+        copy: checksums are computed at build time.
+        """
+        copy = _new(IPv4Header)
+        fields = copy.__dict__
+        fields.update(self.__dict__)
+        fields["ttl"] = ttl
+        fields["identification"] = identification
+        return copy
+
+    def reply(self, src: IPv4Address, protocol: int, ttl: int,
+              identification: int) -> "IPv4Header":
+        """The header of a datagram answering this one, unvalidated.
+
+        Addressed from ``src`` back to this header's source, with zero
+        TOS, flags and fragment offset.  The caller vouches for the
+        values it passes: ``src`` is an :class:`IPv4Address`,
+        ``protocol`` and ``ttl`` fit 8 bits and ``identification`` 16.
+        The simulator's nodes check their initial TTL and fake source
+        address when they are built, and their IP-ID counters wrap at
+        16 bits, which is what lets every response skip the checks.
+        """
+        header = _new(IPv4Header)
+        header.__dict__.update(
+            src=src, dst=self.src, protocol=protocol, ttl=ttl,
+            identification=identification, tos=0, flags=0,
+            fragment_offset=0, total_length=0)
+        return header
 
     def summary(self) -> str:
         """One-line human-readable rendering used in logs and examples."""

@@ -4,11 +4,18 @@
 It round-trips through real bytes (:meth:`Packet.build` /
 :meth:`Packet.parse`), so anything a load balancer hashes or a router
 quotes is taken from the same octets a real network would see.
+
+Values are checked where they enter: :meth:`Packet.make`,
+:meth:`Packet.parse` and the header constructors.  Copies derived from
+a valid packet (:meth:`with_ttl`, :meth:`decremented`,
+:meth:`with_ip_identification`, :meth:`reply`) set their fields without
+running the checks again, and wire bytes are produced only when
+something reads them (:meth:`build`, :meth:`transport_bytes`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from repro.errors import FieldValueError
@@ -23,6 +30,9 @@ from repro.net.inet import IPv4Address
 from repro.net.ipv4 import IPv4Header, IPProtocol
 from repro.net.tcp import TCPHeader
 from repro.net.udp import UDPHeader
+
+#: Instance allocation without ``__init__``, for the trusted copies.
+_new = object.__new__
 
 Transport = Union[
     UDPHeader,
@@ -74,10 +84,9 @@ class Packet:
         """Serialize the whole datagram to wire bytes.
 
         Memoised per instance: a packet is immutable, so its wire form
-        is fixed at construction.  Demux keys, socket sends, response
-        ``raw`` views, and balancer hashes all read the same octets —
-        computing the checksums once instead of at every consumer is a
-        large share of the probe engine's hot path.
+        is fixed at construction.  Nothing on the event engine's
+        probe→response path calls it: the blocking socket and reads of
+        :attr:`ProbeResponse.raw` do.
         """
         wire = self.__dict__.get("_wire")
         if wire is None:
@@ -90,10 +99,10 @@ class Packet:
         """Serialize only the transport header + payload (memoised).
 
         The memo may be *adopted* from another packet differing only in
-        IP TTL (see the cohort walker's materialisation): the TTL is
-        not part of the UDP/TCP pseudo-header, so the transport octets
-        — including the quoted-payload slice routers echo — are
-        identical.
+        IP TTL or Identification (see :meth:`with_ttl`): neither is
+        part of the UDP/TCP pseudo-header, so the transport octets —
+        including the quoted-payload slice routers echo and the word
+        per-flow balancers hash — are identical.
         """
         body = self.__dict__.get("_transport_wire")
         if body is None:
@@ -129,7 +138,18 @@ class Packet:
 
     def decremented(self) -> "Packet":
         """A copy with the IP TTL reduced by one."""
-        return replace(self, ip=self.ip.decremented())
+        return self._derived(self.ip.decremented())
+
+    def with_ttl(self, ttl: int) -> "Packet":
+        """A copy differing only in the IP TTL.
+
+        The transport-wire memo is adopted: the TTL is not part of the
+        UDP/TCP pseudo-header, so the transport octets — including the
+        quoted slice routers echo — are unchanged.  The cohort walker
+        materialises every parked packet through this, so a probe's
+        quote is serialised once, not once per expiry.
+        """
+        return self._derived(self.ip.with_ttl(ttl))
 
     def with_ip_identification(self, identification: int) -> "Packet":
         """A copy differing only in the IP Identification field.
@@ -141,10 +161,40 @@ class Packet:
         """
         if identification == self.ip.identification:
             return self
-        copy = replace(self, ip=self.ip.with_identification(identification))
+        return self._derived(self.ip.with_identification(identification))
+
+    def _derived(self, ip: IPv4Header) -> "Packet":
+        """A copy carrying ``ip``, without re-validation.
+
+        ``ip`` must differ from this packet's header only outside the
+        transport pseudo-header (TTL, Identification), so the transport
+        and payload are shared and the transport-wire memo is adopted.
+        """
+        copy = _new(Packet)
+        fields = copy.__dict__
+        fields["ip"] = ip
+        fields["transport"] = self.transport
+        fields["payload"] = self.payload
         body = self.__dict__.get("_transport_wire")
         if body is not None:
-            object.__setattr__(copy, "_transport_wire", body)
+            fields["_transport_wire"] = body
+        return copy
+
+    def reply(self, src: IPv4Address, transport: Transport, ttl: int,
+              identification: int) -> "Packet":
+        """A packet answering this one from ``src``, unvalidated.
+
+        ``transport`` is the already-built answer (an ICMP error
+        quoting this packet, an Echo Reply, a TCP SYN-ACK/RST); the IP
+        header comes from :meth:`IPv4Header.reply`, whose contract the
+        caller keeps for ``src``, ``ttl`` and ``identification``.
+        """
+        copy = _new(Packet)
+        fields = copy.__dict__
+        fields["ip"] = self.ip.reply(src, int(_protocol_for(transport)), ttl,
+                                     identification)
+        fields["transport"] = transport
+        fields["payload"] = b""
         return copy
 
     @property

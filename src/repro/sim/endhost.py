@@ -100,13 +100,9 @@ class Host(Node):
             ack=(request.seq + 1) & 0xFFFFFFFF,
             flags=flags,
         )
-        response = Packet.make(
-            src=self.response_source_for_tcp(packet),
-            dst=packet.src,
-            transport=answer,
-            ttl=self.icmp_initial_ttl,
-            identification=self.next_ip_id(packet.src),
-        )
+        response = packet.reply(self.response_source_for_tcp(packet),
+                                answer, self.icmp_initial_ttl,
+                                self.next_ip_id(packet.src))
         return self._emit_response(response, packet)
 
     def response_source_for_tcp(self, packet: Packet) -> IPv4Address:

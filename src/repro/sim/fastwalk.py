@@ -88,30 +88,6 @@ from repro.sim.node import Deliver, Drop, Interface, Node, Respond, Transmit
 from repro.sim.router import Router
 
 
-from repro.net.ipv4 import IPv4Header
-
-_IP_FIELDS = (
-    "src", "dst", "protocol", "identification", "tos", "flags",
-    "fragment_offset", "total_length",
-)
-
-
-def _header_with_ttl(ip: IPv4Header, ttl: int) -> IPv4Header:
-    """A TTL-replaced header copy without re-validation.
-
-    Field values besides the TTL come from an already-constructed
-    header, and the TTL is a walk-maintained counter in [0, 255], so
-    ``__post_init__`` has nothing left to catch.  Byte-identical to
-    ``ip.with_ttl(ttl)`` (checksums are computed at build time).
-    """
-    header = IPv4Header.__new__(IPv4Header)
-    setattr_ = object.__setattr__
-    for name in _IP_FIELDS:
-        setattr_(header, name, getattr(ip, name))
-    setattr_(header, "ttl", ttl)
-    return header
-
-
 class _Traveler:
     """One packet in flight, with its TTL tracked as a plain integer."""
 
@@ -136,23 +112,15 @@ class _Traveler:
     def materialize(self) -> Packet:
         """The packet exactly as it arrives at the current node.
 
-        The copy differs from the carried packet only in IP TTL, so the
-        transport-bytes memo is adopted: the quoted-payload slice a
-        router echoes in its ICMP response is computed once per probe,
-        not once per expiry.
+        The copy differs from the carried packet only in IP TTL, so
+        :meth:`Packet.with_ttl` adopts its transport-bytes memo: the
+        quoted-payload slice a router echoes in its ICMP response is
+        computed once per probe, not once per expiry.
         """
         source = self.packet
         if source.ip.ttl == self.ttl:
             return source
-        packet = Packet(
-            ip=_header_with_ttl(source.ip, self.ttl),
-            transport=source.transport,
-            payload=source.payload,
-        )
-        body = source.__dict__.get("_transport_wire")
-        if body is not None:
-            object.__setattr__(packet, "_transport_wire", body)
-        return packet
+        return source.with_ttl(self.ttl)
 
 
 #: Per-(node, destination) resolution markers: the destination is one

@@ -108,6 +108,10 @@ class FaultProfile:
     _burst_rngs: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.fake_source_address is not None:
+            # Responses carry it unvalidated (see Packet.reply), so a
+            # dotted-quad string becomes an address here.
+            self.fake_source_address = IPv4Address(self.fake_source_address)
         if not 0.0 <= self.response_loss_rate <= 1.0:
             raise ValueError(
                 f"response_loss_rate must be in [0,1]: {self.response_loss_rate}"

@@ -24,7 +24,7 @@ from repro.net.icmp import (
     ICMPTimeExceeded,
     UnreachableCode,
 )
-from repro.net.inet import MAX_U16, IPv4Address
+from repro.net.inet import MAX_U8, MAX_U16, IPv4Address
 from repro.net.ipv4 import DEFAULT_ROUTER_TTL
 from repro.net.packet import Packet
 from repro.net.udp import UDPHeader
@@ -126,6 +126,14 @@ class Node:
         if respond_from not in ("ingress", "first"):
             raise TopologyError(
                 f"respond_from must be 'ingress' or 'first': {respond_from!r}"
+            )
+        if (type(icmp_initial_ttl) is not int
+                or not 0 <= icmp_initial_ttl <= MAX_U8):
+            # Checked here because every response this node generates
+            # carries it unvalidated (see Packet.reply).
+            raise TopologyError(
+                f"icmp_initial_ttl must be an integer in 0-255: "
+                f"{icmp_initial_ttl!r}"
             )
         self.name = name
         self.interfaces: list[Interface] = []
@@ -229,19 +237,18 @@ class Node:
 
         The response quotes the offending packet's IP header exactly as
         received (so its TTL — the paper's "probe TTL" — is preserved)
-        plus the first eight octets of its transport payload.
+        plus the first eight octets of its transport payload.  Like
+        every response a node generates, it is built with
+        :meth:`Packet.reply`: the node's address, initial TTL and IP-ID
+        were checked where they entered, so nothing is re-validated.
         """
         message = ICMPTimeExceeded(
             quoted_header=offending.ip,
             quoted_payload=offending.first_eight_transport_octets(),
         )
-        return Packet.make(
-            src=self.response_source(in_interface),
-            dst=offending.src,
-            transport=message,
-            ttl=self.icmp_initial_ttl,
-            identification=self.next_ip_id(offending.src),
-        )
+        return offending.reply(self.response_source(in_interface), message,
+                               self.icmp_initial_ttl,
+                               self.next_ip_id(offending.src))
 
     def make_unreachable(
         self,
@@ -255,13 +262,9 @@ class Node:
             quoted_payload=offending.first_eight_transport_octets(),
             code=int(code),
         )
-        return Packet.make(
-            src=self.response_source(in_interface),
-            dst=offending.src,
-            transport=message,
-            ttl=self.icmp_initial_ttl,
-            identification=self.next_ip_id(offending.src),
-        )
+        return offending.reply(self.response_source(in_interface), message,
+                               self.icmp_initial_ttl,
+                               self.next_ip_id(offending.src))
 
     def make_echo_reply(
         self, request: Packet, in_interface: Interface | None
@@ -282,13 +285,8 @@ class Node:
             if self.faults.fake_source_address is not None
             else request.dst
         )
-        return Packet.make(
-            src=source,
-            dst=request.src,
-            transport=reply,
-            ttl=self.icmp_initial_ttl,
-            identification=self.next_ip_id(request.src),
-        )
+        return request.reply(source, reply, self.icmp_initial_ttl,
+                             self.next_ip_id(request.src))
 
     # ------------------------------------------------------------------
     # local delivery (shared by routers and hosts)

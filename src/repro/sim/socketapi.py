@@ -28,14 +28,38 @@ from repro.sim.network import Network
 DEFAULT_TIMEOUT = 2.0
 
 
+class _WireOnRead:
+    """:attr:`ProbeResponse.raw`: the wire bytes, serialised on read.
+
+    The field's default.  A response made without ``raw`` (the
+    non-blocking sockets hand their packets over as they are) builds
+    its packet's bytes the first time something reads ``raw``; one
+    made with ``raw`` (the blocking socket, which re-parses the bytes
+    it received) keeps them.
+    """
+
+    def __get__(self, response, owner=None):
+        if response is None:
+            return None
+        raw = response.__dict__["_raw"]
+        return response.packet.build() if raw is None else raw
+
+    def __set__(self, response, raw) -> None:
+        response.__dict__["_raw"] = raw
+
+
 @dataclass
 class ProbeResponse:
-    """A response that reached the measurement host."""
+    """A response that reached the measurement host.
+
+    ``raw`` is its wire form: given by the blocking socket, serialised
+    from ``packet`` on first read for the non-blocking ones.
+    """
 
     packet: Packet
-    raw: bytes
     rtt: float
     received_at: float
+    raw: bytes = _WireOnRead()
 
 
 def require_vantage_point(network: Network, host: MeasurementHost) -> None:
@@ -46,6 +70,16 @@ def require_vantage_point(network: Network, host: MeasurementHost) -> None:
         )
 
 
+def require_vantage_source(probe: Packet, host: MeasurementHost) -> Packet:
+    """Reject a probe whose Source Address is not the vantage point's."""
+    if probe.src != host.address:
+        raise TracerError(
+            f"probe source {probe.src} is not the vantage point "
+            f"address {host.address}"
+        )
+    return probe
+
+
 def parse_probe(probe_bytes: bytes, host: MeasurementHost) -> Packet:
     """Parse and validate probe bytes at the socket boundary.
 
@@ -53,13 +87,7 @@ def parse_probe(probe_bytes: bytes, host: MeasurementHost) -> Packet:
     parse as a packet sourced at the vantage point — a malformed probe
     fails here, not deep inside a router.
     """
-    probe = Packet.parse(probe_bytes)
-    if probe.src != host.address:
-        raise TracerError(
-            f"probe source {probe.src} is not the vantage point "
-            f"address {host.address}"
-        )
-    return probe
+    return require_vantage_source(Packet.parse(probe_bytes), host)
 
 
 class ProbeSocket:

@@ -107,8 +107,8 @@ class VantageSocket(AsyncProbeSocket):
         Drains the shared demux first (routing every fleet member's due
         deliveries to their inboxes), then returns this host's arrivals
         up to the horizon.  Response construction matches the plain
-        async socket: zero-copy packet, wire bytes in ``raw``, ``rtt``
-        the walk's elapsed time.
+        async socket: zero-copy packet, wire bytes serialised only when
+        ``raw`` is read, ``rtt`` the walk's elapsed time.
         """
         horizon = self.network.clock.now if until is None else until
         self.demux.drain(until=horizon)
@@ -125,7 +125,6 @@ class VantageSocket(AsyncProbeSocket):
                 self._m_wrong_vantage.inc()
             responses.append(ProbeResponse(
                 packet=delivery.packet,
-                raw=delivery.packet.build(),
                 rtt=delivery.elapsed,
                 received_at=arrival,
             ))

@@ -86,6 +86,22 @@ class TestIcmpFactories:
         response = r.make_time_exceeded(probe, r.interface(0))
         assert response.src == IPv4Address("192.168.99.99")
 
+    def test_fake_source_string_becomes_address(self):
+        profile = FaultProfile(fake_source_address="192.168.99.99")
+        assert profile.fake_source_address == IPv4Address("192.168.99.99")
+        assert type(profile.fake_source_address) is IPv4Address
+        r = Router("F", faults=profile)
+        r.add_interface("10.0.0.1")
+        probe = udp_probe("10.0.0.9", "10.9.9.9", 1)
+        response = r.make_time_exceeded(probe, r.interface(0))
+        assert type(response.src) is IPv4Address
+        assert Packet.parse(response.build()).src == response.src
+
+    @pytest.mark.parametrize("ttl", [-1, 256, 300, 64.0, "255", True])
+    def test_initial_ttl_checked_when_node_is_built(self, ttl):
+        with pytest.raises(TopologyError):
+            Router("A", icmp_initial_ttl=ttl)
+
     def test_response_ttl_is_initial_ttl(self):
         r = Router("A", icmp_initial_ttl=255)
         r.add_interface("10.0.0.1")
