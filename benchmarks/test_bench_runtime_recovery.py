@@ -4,11 +4,16 @@ One leg, runnable standalone and through ``tools/bench_record.py``
 (schema 6 persists it to ``BENCH_walk.json``): the same sharded fleet
 campaign executed three ways —
 
-- **bare** — the unsupervised shard pool (the pre-runtime baseline);
-- **supervised** — the :class:`repro.runtime.ShardSupervisor` wrapping
-  the identical shards, no faults injected (its overhead is the
-  recorded trend and the ``<= 5 %`` CI gate, measured as the median
-  paired ratio over interleaved timing rounds, with its quartiles);
+- **bare** — the same shard plan executed unsupervised: each
+  :func:`repro.vantage.sharding.run_shard` called in turn and the
+  parts merged with :meth:`FleetResult.merge` (the pre-runtime
+  baseline; every sharded entry point is supervised now, so this is
+  the only unsupervised execution of the plan);
+- **supervised** — ``run_fleet_sharded``, i.e. the
+  :class:`repro.runtime.ShardSupervisor` running the identical shards,
+  no faults injected (its overhead is the recorded trend and the
+  ``<= 5 %`` CI gate, measured as the median paired ratio over
+  interleaved timing rounds, with its quartiles);
 - **recovered** — supervised with one seeded worker crash, measuring
   the wall cost of detect + backoff + retry (*time to recover* =
   recovered wall minus the supervised wall).
@@ -30,7 +35,13 @@ import pytest
 from benchmarks.conftest import BENCH_SEED
 from repro.runtime import BackoffPolicy, ChaosPlan, RuntimeOptions
 from repro.topology.internet import InternetConfig
-from repro.vantage import FleetConfig, run_fleet_sharded
+from repro.vantage import (
+    FleetConfig,
+    FleetResult,
+    plan_shards,
+    run_fleet_sharded,
+)
+from repro.vantage.sharding import FleetShardTask, run_shard
 
 RUNTIME_VANTAGES = 4
 RUNTIME_TARGETS = 12
@@ -84,9 +95,13 @@ def run_runtime_leg(seed=BENCH_SEED, rounds=2):
     internet = runtime_internet(seed)
     fleet = FleetConfig(rounds=rounds, workers=2, seed=seed)
 
+    tasks = [FleetShardTask(internet=internet, fleet=fleet,
+                            vantage_ids=vantage_ids,
+                            max_destinations=RUNTIME_TARGETS)
+             for vantage_ids in plan_shards(RUNTIME_VANTAGES, 2)]
+
     def bare():
-        return run_fleet_sharded(internet, fleet, shards=2,
-                                 max_destinations=RUNTIME_TARGETS)
+        return FleetResult.merge([run_shard(task) for task in tasks])
 
     def supervised():
         return run_fleet_sharded(

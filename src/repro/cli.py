@@ -37,11 +37,14 @@ for operational failures (a missing warehouse, a failed run, an
 unreadable journal), 2 for usage errors (invalid flag values).
 
 ``campaign``, ``monitor``, and ``ingest`` accept the fault-tolerant
-runtime flags: ``--max-shard-retries`` / ``--shard-timeout`` engage
-the shard supervisor (retries under seeded backoff, hang deadlines,
-reassignment, graceful degradation), and ``--resume JOURNAL``
-checkpoints every completed shard so an interrupted run re-invoked
-with the same journal resumes signature-identically.
+runtime flags.  Every sharded run is supervised (retries under seeded
+backoff, hang deadlines, reassignment, graceful degradation);
+``--max-shard-retries`` / ``--shard-timeout`` change the supervisor's
+defaults and engage it even at ``--shards 1``, and ``--resume
+JOURNAL`` checkpoints every completed shard so an interrupted run
+re-invoked with the same journal resumes signature-identically.  The
+``# runtime:`` report prints whenever a runtime flag was given or the
+run degraded or resumed.
 
 Examples::
 
@@ -370,9 +373,10 @@ def _validate_runtime_flags(args: argparse.Namespace) -> Optional[str]:
 def _runtime_from_args(args: argparse.Namespace):
     """(RuntimeOptions, journal path) from the runtime flags.
 
-    ``(None, None)`` when no runtime flag was given — the command then
-    takes the bare unsupervised path.  Any runtime flag engages the
-    supervisor, even at ``--shards 1``.
+    ``(None, None)`` when no runtime flag was given — a sharded run
+    then uses the supervisor's defaults and ``--shards 1`` stays
+    single-process.  Any runtime flag engages the supervisor, even at
+    ``--shards 1``, so the options are never None when one was given.
     """
     if (args.max_shard_retries is None and args.shard_timeout is None
             and args.resume is None):
@@ -388,11 +392,17 @@ def _runtime_from_args(args: argparse.Namespace):
     return options, journal
 
 
-def _print_runtime_report(result) -> None:
-    """The supervised run's degradation summary, one commented block."""
+def _print_runtime_report(result, flagged: bool) -> None:
+    """The supervised run's degradation summary, one commented block.
+
+    Printed when runtime flags were given (``flagged``) or whenever the
+    result carries a report, so a degraded run is never silent.
+    """
     from repro.runtime import DegradationReport
 
-    report = getattr(result, "degradation", None) or DegradationReport()
+    if result.degradation is None and not flagged:
+        return
+    report = result.degradation or DegradationReport()
     print()
     for line in report.format().splitlines():
         print(f"# runtime: {line}")
@@ -544,8 +554,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     metrics = args.metrics_out is not None
     trace_capacity = args.trace_capacity if args.trace_out else 0
     runtime, journal = _runtime_from_args(args)
-    if runtime is not None or journal is not None:
-        mode = (f"supervised K={args.shards}"
+    flagged = runtime is not None
+    if flagged or args.shards > 1:
+        mode = (("supervised" if flagged else "sharded")
+                + f" K={args.shards}"
                 + (" (process pool)" if args.processes else " (inline)"))
         result = run_fleet_sharded(internet, fleet, shards=args.shards,
                                    processes=args.processes,
@@ -554,14 +566,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                                    trace_capacity=trace_capacity,
                                    runtime=runtime,
                                    journal_path=journal)
-    elif args.shards > 1:
-        mode = (f"sharded K={args.shards}"
-                + (" (process pool)" if args.processes else " (inline)"))
-        result = run_fleet_sharded(internet, fleet, shards=args.shards,
-                                   processes=args.processes,
-                                   max_destinations=args.dests,
-                                   metrics=metrics,
-                                   trace_capacity=trace_capacity)
     else:
         mode = "single-process"
         result = run_fleet(internet, fleet,
@@ -588,8 +592,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             result.destinations_by_vantage())))
     print()
     print(f"# result signature: {result.signature()}")
-    if runtime is not None or journal is not None:
-        _print_runtime_report(result)
+    _print_runtime_report(result, flagged)
     if metrics and result.metrics is not None:
         from repro.obs import render_prometheus
 
@@ -674,10 +677,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
                              max_destinations=args.dests,
                              metrics=metrics)
     runtime, journal = _runtime_from_args(args)
+    flagged = runtime is not None
     result = service.run(shards=args.shards, processes=args.processes,
                          runtime=runtime, journal_path=journal)
     health = result.health
-    if runtime is not None or journal is not None:
+    if flagged:
         mode = f"supervised K={args.shards}"
     else:
         mode = (f"sharded K={args.shards}" if args.shards > 1
@@ -701,8 +705,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         print(f"  ... {len(result.alerts.alerts) - 10} more")
     print()
     print(f"# result signature: {result.signature()}")
-    if runtime is not None or journal is not None:
-        _print_runtime_report(result)
+    _print_runtime_report(result, flagged)
     if args.alerts_out is not None:
         text = result.alerts.to_jsonl()
         if args.alerts_out == "-":
@@ -782,6 +785,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print(usage, file=sys.stderr)
         return 2
     runtime, journal = _runtime_from_args(args)
+    flagged = runtime is not None
     registry = None
     if args.metrics_out is not None:
         from repro.obs import MetricsRegistry
@@ -807,7 +811,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         internet = demo_internet_config(args.seed, args.vantages)
         fleet = FleetConfig(rounds=args.rounds, workers=2,
                             seed=args.seed)
-        if args.shards > 1 or runtime is not None or journal is not None:
+        if flagged or args.shards > 1:
             result = run_fleet_sharded(internet, fleet,
                                        shards=args.shards,
                                        processes=args.processes,
@@ -817,8 +821,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         else:
             result = run_fleet(internet, fleet,
                                max_destinations=args.dests)
-    if runtime is not None or journal is not None:
-        _print_runtime_report(result)
+    _print_runtime_report(result, flagged)
     kind = "monitor" if args.kind == "monitor" else "fleet"
     _warehouse_append(args.warehouse, result, internet, kind,
                       registry=registry)

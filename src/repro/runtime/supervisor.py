@@ -2,8 +2,9 @@
 
 :class:`ShardSupervisor` executes a list of :class:`ShardSpec`s — each
 a picklable task plus the module-level function that runs it — with
-the fault tolerance the bare process pool in
-:mod:`repro.vantage.sharding` never had:
+fault tolerance.  It is the only shard executor: every sharded fleet
+and monitor run reaches it through
+:func:`repro.vantage.sharding.run_sharded`.  It provides:
 
 - **crash detection** — a worker that raises (or dies without a word)
   fails the attempt instead of aborting the run;
@@ -87,9 +88,6 @@ class RuntimeOptions:
     #: deadline; required when a chaos plan injects hangs).
     shard_timeout: Optional[float] = None
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
-    #: Split an exhausted shard into per-vantage subtasks before
-    #: giving up on its vantages.
-    reassign: bool = True
     #: Runtime-fault injection (tests and the CI chaos job).
     chaos: Optional[ChaosPlan] = None
     #: Injectable sleeper for inline-backend backoff, so inline tests
@@ -97,8 +95,6 @@ class RuntimeOptions:
     #: parked retries there wait on real monotonic ``ready_at``
     #: deadlines (keep ``backoff.cap`` small in process-mode tests).
     sleep: Callable = time.sleep
-    #: Concurrent process attempts (None = one per initial shard).
-    max_workers: Optional[int] = None
 
 
 @dataclass
@@ -125,6 +121,12 @@ class _Work:
     primary: bool = True
     #: Process-mode backoff parking: earliest monotonic start instant.
     ready_at: float = 0.0
+    #: Backoff delay scheduled before this attempt (inline sleeps it).
+    delay: float = 0.0
+    #: Live subshards that replace this work after reassignment.
+    requeue: list = field(default_factory=list)
+    #: ``(key, result)`` of subshards a journal already completed.
+    resumed_subs: list = field(default_factory=list)
 
 
 def _process_worker(conn, run, task, directive_kind) -> None:
@@ -315,21 +317,16 @@ class ShardSupervisor:
             stats["retries"] += 1
             self._m_retries.labels(key).inc()
             self._m_backoff.inc(delay)
-            follow = _Work(spec=work.spec, attempt=work.attempt + 1,
-                           retries_left=work.retries_left - 1,
-                           primary=work.primary)
-            follow.ready_at = time.monotonic() + delay
-            follow._delay = delay
-            return follow
-        if (work.primary and self.options.reassign
-                and self.split is not None
+            return _Work(spec=work.spec, attempt=work.attempt + 1,
+                         retries_left=work.retries_left - 1,
+                         primary=work.primary,
+                         ready_at=time.monotonic() + delay, delay=delay)
+        if (work.primary and self.split is not None
                 and len(work.spec.vantage_ids) > 1):
             report.incidents.append(ShardIncident(
                 shard=key, attempt=work.attempt, kind=kind,
                 detail=detail, resolution="reassigned"))
             stats["reassigned"] += 1
-            subs = []
-            resumed = []
             for subspec in self.split(work.spec):
                 if (self.journal is not None
                         and self.journal.has(subspec.key)):
@@ -337,14 +334,12 @@ class ShardSupervisor:
                     # this reassigned slice: its checkpointed result
                     # must still reach the merge (the caller surfaces
                     # ``resumed_subs`` alongside the live subshards).
-                    resumed.append((subspec.key,
-                                    self.journal.result(subspec.key)))
+                    work.resumed_subs.append(
+                        (subspec.key, self.journal.result(subspec.key)))
                     continue
-                subs.append(_Work(
+                work.requeue.append(_Work(
                     spec=subspec, primary=False,
                     retries_left=self.options.max_retries))
-            work.requeue = subs
-            work.resumed_subs = resumed
             return None
         report.incidents.append(ShardIncident(
             shard=key, attempt=work.attempt, kind=kind, detail=detail,
@@ -365,13 +360,13 @@ class ShardSupervisor:
         journal hits in :meth:`execute` — while live subshards are
         appended to ``order`` and handed to ``enqueue``.
         """
-        for key, result in getattr(work, "resumed_subs", ()) or ():
+        for key, result in work.resumed_subs:
             order.append(key)
             results[key] = result
             report.resumed_shards.append(key)
             stats["resumed"] += 1
             self._m_checkpoints.labels("resumed").inc()
-        for sub in getattr(work, "requeue", ()) or ():
+        for sub in work.requeue:
             order.append(sub.spec.key)
             enqueue(sub)
 
@@ -395,7 +390,7 @@ class ShardSupervisor:
                     f"attempt {work.attempt}")
             if work.attempt > 0:
                 # Backoff delay — injectable, so tests run instantly.
-                self.options.sleep(getattr(work, "_delay", 0.0))
+                self.options.sleep(work.delay)
             follow = self._attempt_inline(work, directive, results,
                                           order, report, stats)
             self._schedule(follow, work, queue, results, order,
@@ -455,7 +450,7 @@ class ShardSupervisor:
         context = multiprocessing.get_context(
             "fork" if "fork"
             in multiprocessing.get_all_start_methods() else "spawn")
-        limit = self.options.max_workers or len(items)
+        limit = len(items)
         pending: deque[_Work] = deque(items)
         parked: list[_Work] = []
         active: dict[int, dict] = {}

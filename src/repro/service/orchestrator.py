@@ -13,28 +13,27 @@ vantage's timeline stays a pure function of its own lanes and the
 topology seed — the property the sharded mode inherits unchanged from
 the fleet layer.
 
-Execution mirrors :mod:`repro.vantage.sharding`:
+Execution reuses :mod:`repro.vantage.sharding`:
 :class:`MonitorShardTask` is the picklable work unit (each shard
-rebuilds a seeded topology replica, runs only its vantages, streams
-its routes through the onset detector), :func:`run_monitor` is the
-single-process reference, :func:`run_monitor_sharded` the partitioned
-one, and both finalize through
+rebuilds a seeded topology replica with
+:func:`repro.vantage.sharding.materialize_replica`, runs only its
+vantages, streams its routes through the onset detector),
+:func:`run_monitor` is the single-process reference, and
+:func:`run_monitor_sharded` hands the partitioned tasks to the same
+supervised executor as the fleet,
+:func:`repro.vantage.sharding.run_sharded`.  Both finalize through
 :meth:`repro.service.result.MonitorResult.merge` — literally the same
 code path, which is what makes the byte-identity contract testable.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.analysis.fault_sensitivity import ground_truth_from_topology
 from repro.engine.scheduler import ProbeScheduler, TraceSpec
-from repro.measurement.destinations import (
-    select_pingable_destinations,
-    split_among_workers,
-)
+from repro.measurement.destinations import split_among_workers
 from repro.service.config import MonitorConfig
 from repro.service.detect import (
     OnsetDetector,
@@ -42,9 +41,14 @@ from repro.service.detect import (
     fault_windows,
 )
 from repro.service.result import MonitorResult
-from repro.service.schedule import TargetPlan, build_schedule
-from repro.topology.internet import InternetConfig, generate_internet
+from repro.service.schedule import build_schedule
+from repro.topology.internet import InternetConfig
 from repro.vantage.campaign import FleetCampaign, FleetResult
+from repro.vantage.sharding import (
+    materialize_replica,
+    plan_shards,
+    run_sharded,
+)
 
 
 class _MonitorCampaign(FleetCampaign):
@@ -57,9 +61,10 @@ class _MonitorCampaign(FleetCampaign):
     position) order with ``not_before`` pacing.
     """
 
-    def __init__(self, *args, plans: Sequence[TargetPlan], **kwargs):
+    def __init__(self, *args, monitor: MonitorConfig, **kwargs):
         super().__init__(*args, **kwargs)
-        self._plans = {plan.destination: plan for plan in plans}
+        self._plans = {plan.destination: plan for plan
+                       in build_schedule(self.destinations, monitor)}
 
     def run(self) -> FleetResult:
         """Run every owned vantage's calendar; per-vantage results."""
@@ -132,37 +137,14 @@ class MonitorShardTask:
 
 
 def run_monitor_shard(task: MonitorShardTask) -> MonitorResult:
-    """Run one shard to completion (the process-pool work function).
+    """Run one shard to completion (the monitor's shard work function).
 
     Returns a *partial* :class:`MonitorResult` (``alerts is None``):
     windows and onsets for the shard's vantages only.  The alert
     pipeline runs post-merge on the coordinator.
     """
-    topology = generate_internet(task.internet)
-    seed = (task.destination_seed if task.destination_seed is not None
-            else task.monitor.fleet.seed)
-    destinations = select_pingable_destinations(
-        topology.network, topology.source,
-        topology.destination_addresses,
-        count=task.max_destinations, seed=seed)
-    # Observability installs after the pingable pre-screen, exactly as
-    # in :func:`repro.vantage.sharding.materialize_shard` and for the
-    # same reason: pre-screen probes replay in every replica.
-    if task.metrics:
-        from repro.obs.registry import MetricsRegistry
-
-        topology.network.metrics = MetricsRegistry()
-    if task.trace_capacity > 0:
-        from repro.obs.tracing import ProbeTracer
-
-        topology.network.tracer = ProbeTracer(capacity=task.trace_capacity)
-    plans = build_schedule(destinations, task.monitor)
-    vantage_ids = (task.vantage_ids
-                   or list(range(len(topology.sources))))
-    campaign = _MonitorCampaign(
-        topology.network, topology.sources, destinations,
-        config=task.monitor.fleet, vantage_ids=vantage_ids,
-        plans=plans)
+    topology, campaign = materialize_replica(
+        task, task.monitor.fleet, _MonitorCampaign, monitor=task.monitor)
     fleet_result = campaign.run()
     return _analyze_shard(task, topology, fleet_result)
 
@@ -263,12 +245,10 @@ def run_monitor_sharded(
     """Partition the monitor's vantages over ``shards`` replicas, merge,
     and finalize the alert pipeline over the merged onset stream.
 
-    ``runtime`` (a :class:`repro.runtime.RuntimeOptions`) or
-    ``journal_path`` switches from the bare pool to the supervised
-    executor — see :func:`run_monitor_supervised`.
+    Runs under the supervisor — see
+    :func:`repro.vantage.sharding.run_sharded` for what ``runtime``
+    and ``journal_path`` change.
     """
-    from repro.vantage.sharding import plan_shards
-
     monitor = monitor or MonitorConfig()
     tasks = [
         MonitorShardTask(
@@ -278,125 +258,10 @@ def run_monitor_sharded(
             metrics=metrics, trace_capacity=trace_capacity)
         for vantage_ids in plan_shards(internet.n_vantages, shards)
     ]
-    if runtime is not None or journal_path is not None:
-        return run_monitor_supervised(
-            tasks, processes=processes, runtime=runtime,
-            journal_path=journal_path)
-    if processes and len(tasks) > 1:
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        with context.Pool(processes=len(tasks)) as pool:
-            parts = pool.map(run_monitor_shard, tasks)
-    else:
-        parts = [run_monitor_shard(task) for task in tasks]
-    return MonitorResult.merge(parts)
-
-
-# -- supervised execution -----------------------------------------------
-def monitor_shard_specs(tasks: Sequence[MonitorShardTask]) -> list:
-    """Wrap monitor shard tasks as supervisor shard specs (stable keys)."""
-    from repro.runtime import ShardSpec
-
-    return [
-        ShardSpec(
-            key="shard-v" + "-".join(str(v) for v in task.vantage_ids),
-            task=task, vantage_ids=list(task.vantage_ids))
-        for task in tasks
-    ]
-
-
-def validate_monitor_shard(task: MonitorShardTask,
-                           result: MonitorResult) -> None:
-    """Reject a partial result that is not ``task``'s vantage share."""
-    from repro.errors import CampaignError
-
-    got = sorted(v.index for v in result.fleet.vantages)
-    want = sorted(task.vantage_ids)
-    if got != want:
-        raise CampaignError(
-            f"shard result covers vantages {got}, task owns {want}: "
-            "refusing to merge a wrong-shard result")
-
-
-def split_monitor_spec(spec) -> list:
-    """Reassign an exhausted monitor shard: one task per vantage."""
-    from dataclasses import replace
-
-    from repro.runtime import ShardSpec
-
-    return [
-        ShardSpec(
-            key=f"{spec.key}/v{vantage_id}",
-            task=replace(spec.task, vantage_ids=[vantage_id]),
-            vantage_ids=[vantage_id])
-        for vantage_id in spec.vantage_ids
-    ]
-
-
-def monitor_run_identity(tasks: Sequence[MonitorShardTask]) -> str:
-    """The journal-binding digest of a sharded monitor run."""
-    from dataclasses import asdict
-
-    from repro.runtime import run_identity
-
-    first = tasks[0]
-    return run_identity({
-        "kind": "monitor",
-        "internet": asdict(first.internet),
-        "monitor": asdict(first.monitor),
-        "plan": [list(task.vantage_ids) for task in tasks],
-        "max_destinations": first.max_destinations,
-        "destination_seed": first.destination_seed,
-        "metrics": first.metrics,
-        "trace_capacity": first.trace_capacity,
-    })
-
-
-def run_monitor_supervised(
-    tasks: Sequence[MonitorShardTask],
-    processes: bool = False,
-    runtime=None,
-    journal_path=None,
-    registry=None,
-) -> MonitorResult:
-    """Run prepared monitor shard tasks under the fault-tolerant
-    supervisor, then finalize the alert pipeline over the merge.
-
-    Mirrors :func:`repro.vantage.sharding.run_fleet_supervised`: the
-    merged result carries the :class:`repro.runtime.DegradationReport`
-    on :attr:`MonitorResult.degradation` and the supervisor's
-    ``repro_runtime_*`` series in the fleet metrics snapshot.
-    """
-    from repro.errors import CampaignError
-    from repro.runtime import RunJournal, RuntimeOptions, ShardSupervisor
-
-    if not tasks:
-        raise CampaignError("no shard tasks to supervise")
-    runtime = runtime or RuntimeOptions()
-    journal = None
-    if journal_path is not None:
-        journal = RunJournal(journal_path, monitor_run_identity(tasks))
-    coordinator = registry
-    if coordinator is None and tasks[0].metrics:
-        from repro.obs.registry import MetricsRegistry
-
-        coordinator = MetricsRegistry()
-    supervised = ShardSupervisor(
-        monitor_shard_specs(tasks), run_monitor_shard,
-        processes=processes, options=runtime,
-        validate=validate_monitor_shard, split=split_monitor_spec,
-        journal=journal, registry=coordinator).execute()
-    merged = MonitorResult.merge(supervised.results)
-    merged.degradation = supervised.report
-    if coordinator is not None and registry is None:
-        from repro.obs.registry import MetricsSnapshot
-
-        snapshots = [s for s in (merged.fleet.metrics,
-                                 coordinator.snapshot())
-                     if s is not None]
-        merged.fleet.metrics = MetricsSnapshot.merge(snapshots)
-    return merged
+    return run_sharded("monitor", tasks, run_monitor_shard,
+                       MonitorResult.merge, lambda result: result.fleet,
+                       processes=processes, runtime=runtime,
+                       journal_path=journal_path)
 
 
 class MonitorService:

@@ -15,7 +15,9 @@ workload:
   :class:`repro.engine.scheduler.ProbeScheduler`, producing a
   per-vantage :class:`FleetResult`;
 - :mod:`repro.vantage.sharding` — sharded execution on seeded topology
-  replicas (inline or process pool) with deterministic merging.
+  replicas (inline or worker processes) with deterministic merging,
+  through :func:`repro.vantage.sharding.run_sharded`, the one
+  supervised shard executor.
 
 Cross-vantage analysis (union graphs, side-by-side anomaly tables,
 coverage) lives in :mod:`repro.core.fleetview`.

@@ -186,10 +186,10 @@ class FleetResult:
     #: Excluded from the signature like ``metrics``.
     spans: list = field(default_factory=list)
     #: :class:`repro.runtime.degradation.DegradationReport` stamped by a
-    #: supervised execution (None on clean unsupervised runs).  Like
-    #: ``metrics`` it is operational metadata and never enters
-    #: :meth:`to_dict` / :meth:`signature` — a degraded run differs in
-    #: bytes because vantages are *missing*, not because it is labeled.
+    #: supervised execution (None on clean runs).  Like ``metrics`` it
+    #: is operational metadata and never enters :meth:`to_dict` /
+    #: :meth:`signature` — a degraded run differs in bytes because
+    #: vantages are *missing*, not because it is labeled.
     degradation: object = None
 
     def vantage(self, index: int) -> VantageOutcome:

@@ -12,39 +12,43 @@ byte-identical to the single-process run — same routes, same
 timestamps, same strategy forensics — which :meth:`FleetResult.signature`
 makes checkable in one comparison.
 
-Two backends:
+Every sharded run goes through one executor, :func:`run_sharded`,
+which hands the shards to the :class:`repro.runtime.ShardSupervisor`:
+worker crashes, hangs, and lost results are retried under seeded
+backoff, an exhausted shard's vantages are reassigned to fresh
+single-vantage workers, and whatever still fails is *excluded* — the
+merged result carries a :class:`repro.runtime.DegradationReport`
+instead of the run dying.  ``runtime=`` (a
+:class:`repro.runtime.RuntimeOptions`) only changes the supervision
+defaults and ``journal_path=`` adds a checkpoint journal.  Because
+shard results are pure functions of their tasks, any recovery
+schedule merges to the same bytes as the unfaulted run.
 
-- ``processes=False`` (default) runs the shards sequentially in this
-  process — same replicas, same isolation, no pickling constraints;
-- ``processes=True`` fans the shards out over a
-  :mod:`multiprocessing` pool.  Everything crossing the process
-  boundary (the configs, the optional ``strategy_builder``, the
-  results) must pickle, so ``strategy_builder`` has to be a
-  module-level callable — :func:`mda_strategy_builder` is the stock
-  one.
-
-Passing ``runtime=`` (a :class:`repro.runtime.RuntimeOptions`) or
-``journal_path=`` routes either backend through the
-:class:`repro.runtime.ShardSupervisor` instead: worker crashes, hangs,
-and lost results are retried under seeded backoff, an exhausted
-shard's vantages are reassigned to fresh single-vantage workers, and
-whatever still fails is *excluded* — the merged result carries a
-:class:`repro.runtime.DegradationReport` instead of the run dying.
-Because shard results are pure functions of their
-:class:`FleetShardTask`, any recovery schedule merges to the same
-bytes as the unfaulted run.
+``processes=False`` (default) runs the shards sequentially in this
+process — same replicas, same isolation, no pickling constraints;
+``processes=True`` gives every attempt its own worker process.
+Everything crossing the process boundary (the configs, the optional
+``strategy_builder``, the results) must pickle, so
+``strategy_builder`` has to be a module-level callable —
+:func:`mda_strategy_builder` is the stock one.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from repro.errors import CampaignError
 from repro.measurement.destinations import (
     select_pingable_destinations,
     split_among_workers,
+)
+from repro.runtime import (
+    RunJournal,
+    RuntimeOptions,
+    ShardSpec,
+    ShardSupervisor,
+    run_identity,
 )
 from repro.topology.internet import InternetConfig, generate_internet
 from repro.vantage.campaign import FleetCampaign, FleetConfig, FleetResult
@@ -88,11 +92,20 @@ class FleetShardTask:
     trace_capacity: int = 0
 
 
-def materialize_shard(task: FleetShardTask) -> FleetCampaign:
-    """Build a shard's campaign on a fresh seeded topology replica."""
+def materialize_replica(task, fleet: FleetConfig,
+                        campaign_cls=FleetCampaign, **kwargs):
+    """A shard's seeded topology replica and the campaign over it.
+
+    Shared by every shard kind: ``task`` carries ``internet``,
+    ``vantage_ids``, the destination knobs, and the observability
+    switches; ``fleet`` is the kind's :class:`FleetConfig` (its seed
+    is the default destination-shuffle seed).  The campaign, of class
+    ``campaign_cls`` with ``kwargs`` passed through, runs exactly
+    ``task.vantage_ids``.  Returns ``(topology, campaign)``.
+    """
     topology = generate_internet(task.internet)
     seed = (task.destination_seed if task.destination_seed is not None
-            else task.fleet.seed)
+            else fleet.seed)
     destinations = select_pingable_destinations(
         topology.network, topology.source,
         topology.destination_addresses,
@@ -110,16 +123,22 @@ def materialize_shard(task: FleetShardTask) -> FleetCampaign:
 
         topology.network.tracer = ProbeTracer(
             capacity=task.trace_capacity)
-    campaign = FleetCampaign(
+    campaign = campaign_cls(
         topology.network, topology.sources, destinations,
-        config=task.fleet, vantage_ids=task.vantage_ids)
+        config=fleet, vantage_ids=task.vantage_ids, **kwargs)
+    return topology, campaign
+
+
+def materialize_shard(task: FleetShardTask) -> FleetCampaign:
+    """Build a shard's campaign on a fresh seeded topology replica."""
+    __, campaign = materialize_replica(task, task.fleet)
     if task.strategy_builder is not None:
         campaign.strategy_factory = task.strategy_builder(campaign)
     return campaign
 
 
 def run_shard(task: FleetShardTask) -> FleetResult:
-    """Run one shard to completion (the process-pool work function)."""
+    """Run one shard to completion (the fleet's shard work function)."""
     return materialize_shard(task).run()
 
 
@@ -173,9 +192,8 @@ def run_fleet_sharded(
 ) -> FleetResult:
     """Partition the fleet's vantages over ``shards`` replicas and merge.
 
-    ``runtime`` (a :class:`repro.runtime.RuntimeOptions`) or
-    ``journal_path`` switches from the bare pool to the supervised
-    executor — see :func:`run_fleet_supervised`.
+    Runs under the supervisor — see :func:`run_sharded` for what
+    ``runtime`` and ``journal_path`` change.
     """
     fleet = fleet or FleetConfig()
     tasks = [
@@ -187,136 +205,109 @@ def run_fleet_sharded(
             metrics=metrics, trace_capacity=trace_capacity)
         for vantage_ids in plan_shards(internet.n_vantages, shards)
     ]
-    if runtime is not None or journal_path is not None:
-        return run_fleet_supervised(
-            tasks, processes=processes, runtime=runtime,
-            journal_path=journal_path)
-    if processes and len(tasks) > 1:
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        with context.Pool(processes=len(tasks)) as pool:
-            parts = pool.map(run_shard, tasks)
-    else:
-        parts = [run_shard(task) for task in tasks]
-    return FleetResult.merge(parts)
+    # ``run_shard`` and ``FleetResult.merge`` are looked up per call, so
+    # whatever wraps them at run time (a profiler's spans) sees them.
+    return run_sharded("fleet", tasks, run_shard, FleetResult.merge,
+                       lambda result: result, processes=processes,
+                       runtime=runtime, journal_path=journal_path)
 
 
-# -- supervised execution -----------------------------------------------
-def fleet_shard_specs(tasks: Sequence[FleetShardTask]) -> list:
-    """Wrap shard tasks as supervisor :class:`repro.runtime.ShardSpec`s.
+# -- the shard executor ---------------------------------------------------
+def run_sharded(kind: str, tasks: Sequence, run: Callable,
+                merge: Callable, fleet_of: Callable,
+                processes: bool = False, runtime=None,
+                journal_path=None):
+    """Run shard tasks under the supervisor and merge what completed.
 
-    Keys name the shard by its vantages (``shard-v0-1``), so the same
-    plan always produces the same keys — the property journal resume
-    and seeded chaos plans both rely on.
+    The one executor behind every sharded entry point, whatever the
+    shard ``kind`` (``"fleet"``, ``"monitor"``).  Each task is a
+    picklable dataclass with ``vantage_ids``, ``metrics``, and the
+    configs that determine its bytes; ``run(task)`` (module-level: it
+    crosses the process boundary) returns its partial result,
+    ``merge(results)`` combines them, and ``fleet_of(result)`` locates
+    a result's :class:`FleetResult`.
+
+    Shard keys name the shard by its vantages (``shard-v0-2``), so the
+    same plan always produces the same keys — journal resume and
+    seeded chaos plans rely on it.  A result covering other vantages
+    than its task's is rejected, never merged; a shard that exhausts
+    its retries is split into one task per vantage.  ``runtime`` (a
+    :class:`repro.runtime.RuntimeOptions`; None means the defaults)
+    tunes retries, deadlines, backoff, and chaos; ``journal_path``
+    checkpoints completed shards to a journal bound to the run's
+    identity, so only the same run may resume from it.
+
+    The merged result carries the run's
+    :class:`repro.runtime.DegradationReport` (when there is anything
+    to report) as ``degradation`` and, when shard metrics are on, the
+    supervisor's ``repro_runtime_*`` series in its fleet's snapshot.
     """
-    from repro.runtime import ShardSpec
+    if not tasks:
+        raise CampaignError("no shard tasks to supervise")
+    journal = None
+    if journal_path is not None:
+        journal = RunJournal(journal_path, _run_identity(kind, tasks))
+    coordinator = None
+    if tasks[0].metrics:
+        from repro.obs.registry import MetricsRegistry
 
-    return [
+        coordinator = MetricsRegistry()
+
+    def validate(task, result) -> None:
+        got = sorted(v.index for v in fleet_of(result).vantages)
+        want = sorted(task.vantage_ids)
+        if got != want:
+            raise CampaignError(
+                f"shard result covers vantages {got}, task owns {want}: "
+                "refusing to merge a wrong-shard result")
+
+    def split(spec) -> list:
+        return [
+            ShardSpec(key=f"{spec.key}/v{vantage_id}",
+                      task=replace(spec.task, vantage_ids=[vantage_id]),
+                      vantage_ids=[vantage_id])
+            for vantage_id in spec.vantage_ids
+        ]
+
+    specs = [
         ShardSpec(
             key="shard-v" + "-".join(str(v) for v in task.vantage_ids),
             task=task, vantage_ids=list(task.vantage_ids))
         for task in tasks
     ]
-
-
-def validate_fleet_shard(task: FleetShardTask,
-                         result: FleetResult) -> None:
-    """Reject a result that does not belong to ``task``'s vantages."""
-    got = sorted(v.index for v in result.vantages)
-    want = sorted(task.vantage_ids)
-    if got != want:
-        raise CampaignError(
-            f"shard result covers vantages {got}, task owns {want}: "
-            "refusing to merge a wrong-shard result")
-
-
-def split_fleet_spec(spec) -> list:
-    """Reassign an exhausted shard: one fresh task per vantage.
-
-    Shard results are pure functions of their tasks, so regrouping a
-    shard's vantages into singleton tasks changes nothing about the
-    merged bytes — only which worker computes them.
-    """
-    from dataclasses import replace
-
-    from repro.runtime import ShardSpec
-
-    return [
-        ShardSpec(
-            key=f"{spec.key}/v{vantage_id}",
-            task=replace(spec.task, vantage_ids=[vantage_id]),
-            vantage_ids=[vantage_id])
-        for vantage_id in spec.vantage_ids
-    ]
-
-
-def fleet_run_identity(tasks: Sequence[FleetShardTask]) -> str:
-    """The journal-binding digest of a sharded fleet run.
-
-    Covers everything that determines the run's bytes: both configs,
-    the shard plan, the destination knobs, and the strategy builder's
-    name.  A resume against a journal written under any other
-    description is refused.
-    """
-    from dataclasses import asdict
-
-    from repro.runtime import run_identity
-
-    first = tasks[0]
-    builder = first.strategy_builder
-    return run_identity({
-        "kind": "fleet",
-        "internet": asdict(first.internet),
-        "fleet": asdict(first.fleet),
-        "plan": [list(task.vantage_ids) for task in tasks],
-        "max_destinations": first.max_destinations,
-        "destination_seed": first.destination_seed,
-        "strategy_builder": getattr(builder, "__name__", None),
-        "metrics": first.metrics,
-        "trace_capacity": first.trace_capacity,
-    })
-
-
-def run_fleet_supervised(
-    tasks: Sequence[FleetShardTask],
-    processes: bool = False,
-    runtime=None,
-    journal_path=None,
-    registry=None,
-) -> FleetResult:
-    """Run prepared shard tasks under the fault-tolerant supervisor.
-
-    The merged result carries the run's
-    :class:`repro.runtime.DegradationReport` (when there is anything
-    to report) on :attr:`FleetResult.degradation`, and — when shard
-    metrics are enabled — the supervisor's ``repro_runtime_*`` series
-    merged into :attr:`FleetResult.metrics`.
-    """
-    from repro.runtime import RunJournal, RuntimeOptions, ShardSupervisor
-
-    if not tasks:
-        raise CampaignError("no shard tasks to supervise")
-    runtime = runtime or RuntimeOptions()
-    journal = None
-    if journal_path is not None:
-        journal = RunJournal(journal_path, fleet_run_identity(tasks))
-    coordinator = registry
-    if coordinator is None and tasks[0].metrics:
-        from repro.obs.registry import MetricsRegistry
-
-        coordinator = MetricsRegistry()
     supervised = ShardSupervisor(
-        fleet_shard_specs(tasks), run_shard,
-        processes=processes, options=runtime,
-        validate=validate_fleet_shard, split=split_fleet_spec,
-        journal=journal, registry=coordinator).execute()
-    merged = FleetResult.merge(supervised.results)
+        specs, run, processes=processes,
+        options=runtime or RuntimeOptions(), validate=validate,
+        split=split, journal=journal, registry=coordinator).execute()
+    merged = merge(supervised.results)
     merged.degradation = supervised.report
-    if coordinator is not None and registry is None:
+    if coordinator is not None:
         from repro.obs.registry import MetricsSnapshot
 
-        snapshots = [s for s in (merged.metrics, coordinator.snapshot())
-                     if s is not None]
-        merged.metrics = MetricsSnapshot.merge(snapshots)
+        fleet = fleet_of(merged)
+        fleet.metrics = MetricsSnapshot.merge(
+            [s for s in (fleet.metrics, coordinator.snapshot())
+             if s is not None])
     return merged
+
+
+def _run_identity(kind: str, tasks: Sequence) -> str:
+    """The journal-binding digest of a sharded run.
+
+    Covers everything that determines the run's bytes: the kind, the
+    shard plan, and every other field of the (uniform) tasks — configs
+    as plain dicts, a callable such as the strategy builder by name.
+    """
+    first = tasks[0]
+    description = {"kind": kind,
+                   "plan": [list(task.vantage_ids) for task in tasks]}
+    for item in fields(first):
+        if item.name == "vantage_ids":
+            continue
+        value = getattr(first, item.name)
+        if is_dataclass(value):
+            value = asdict(value)
+        elif callable(value):
+            value = getattr(value, "__name__", None)
+        description[item.name] = value
+    return run_identity(description)

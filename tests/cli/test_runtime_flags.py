@@ -60,6 +60,34 @@ class TestSupervisedCampaign:
         assert "different run" in err
 
 
+class TestDegradedRunsAreNeverSilent:
+    """Unflagged sharded runs are supervised too, so a degraded result
+    prints its ``# runtime:`` block with or without runtime flags."""
+
+    def test_unflagged_sharded_run_reports_degradation(
+            self, monkeypatch, capsys):
+        import repro.vantage
+        from repro.runtime import ChaosPlan, RuntimeOptions
+
+        sharded = repro.vantage.run_fleet_sharded
+
+        def crashing(*args, runtime=None, **kwargs):
+            assert runtime is None  # no runtime flag was given
+            return sharded(*args, runtime=RuntimeOptions(
+                max_retries=0,
+                chaos=ChaosPlan.of(("shard-v1", 0, "crash"))), **kwargs)
+
+        monkeypatch.setattr(repro.vantage, "run_fleet_sharded", crashing)
+        assert main(["campaign"] + QUICK + ["--shards", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "sharded K=2 (inline)" in out
+        assert "# runtime: DEGRADED result — vantages [1] excluded" in out
+
+    def test_clean_unflagged_sharded_run_prints_no_report(self, capsys):
+        assert main(["campaign"] + QUICK + ["--shards", "2"]) == 0
+        assert "# runtime:" not in capsys.readouterr().out
+
+
 class TestUsageErrors:
     def test_negative_retries_rejected(self, capsys):
         assert main(["campaign"] + QUICK

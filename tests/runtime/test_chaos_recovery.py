@@ -1,12 +1,13 @@
-"""The fault-tolerance acceptance bar, proven with the chaos harness.
+"""Fault tolerance on real fleet shards, proven with the chaos harness.
 
-ISSUE 10 acceptance criteria, pinned end to end on real fleet shards:
+The shared matrix (``tests/runtime/test_identity_matrix.py``) proves
+that clean, crash-retried, crash+hang, and abort+resume runs of both
+kinds merge to the single-process bytes.  Pinned here, end to end:
 
-- a K=4 **process-pool** run with one seeded worker crash and one
-  seeded hang completes **byte-identical** to the unfaulted
-  single-process run;
-- an interrupted run **resumes from its journal** to the identical
-  signature, with the resumed shards recorded;
+- a **hard-killed** worker and a **lost** result are recovered;
+- a journal **refuses to resume** any run other than its own;
+- an exhausted multi-vantage shard is **reassigned** vantage by
+  vantage to the identical signature;
 - a shard that exhausts its retries yields a **merged partial result**
   whose bytes equal the merge of the surviving shards, with an
   accurate :class:`repro.runtime.DegradationReport`.
@@ -27,9 +28,14 @@ from repro.runtime import (
     RunAborted,
     RuntimeOptions,
 )
-from repro.service import MonitorConfig, MonitorService, run_monitor
 from repro.topology import InternetConfig
-from repro.vantage import FleetConfig, FleetResult, run_fleet, run_fleet_sharded
+from repro.vantage import (
+    FleetConfig,
+    FleetResult,
+    mda_strategy_builder,
+    run_fleet,
+    run_fleet_sharded,
+)
 from repro.vantage.sharding import FleetShardTask, run_shard
 
 TINY4 = InternetConfig(
@@ -57,20 +63,7 @@ def single():
 
 
 class TestProcessPoolRecovery:
-    """Acceptance: K=4 process pool, 1 crash + 1 hang, same bytes."""
-
-    def test_crash_and_hang_recover_byte_identical(self, single):
-        chaos = ChaosPlan.of(("shard-v1", 0, "crash"),
-                             ("shard-v3", 0, "hang"))
-        recovered = run_fleet_sharded(
-            TINY4, FLEET, shards=4, processes=True,
-            runtime=runtime(chaos=chaos, shard_timeout=2.0))
-        assert recovered.signature() == single.signature()
-        report = recovered.degradation
-        kinds = {(i.shard, i.kind) for i in report.incidents}
-        assert kinds == {("shard-v1", "crash"), ("shard-v3", "hang")}
-        assert all(i.resolution == "retried" for i in report.incidents)
-        assert not report.degraded
+    """K=4 worker processes: silent deaths and dropped results."""
 
     def test_hard_kill_and_lost_result_recover(self, single):
         # 'kill' dies without a word (os._exit) and must surface as a
@@ -87,36 +80,38 @@ class TestProcessPoolRecovery:
 
 
 class TestJournalResume:
-    """Acceptance: interrupted run resumes to the identical signature."""
+    """A journal resumes only the run that wrote it."""
 
-    def test_abort_then_resume_is_byte_identical(self, single, tmp_path):
-        journal = tmp_path / "fleet.journal"
-        # K=2 over 4 vantages -> shards shard-v0-2 and shard-v1-3; the
-        # injected coordinator abort lands after the first completes.
-        interrupted = runtime(
-            chaos=ChaosPlan.of(("shard-v1-3", 0, "abort")))
-        with pytest.raises(RunAborted):
-            run_fleet_sharded(TINY4, FLEET, shards=2,
-                              runtime=interrupted,
-                              journal_path=journal)
-        resumed = run_fleet_sharded(TINY4, FLEET, shards=2,
-                                    journal_path=journal)
-        assert resumed.signature() == single.signature()
-        report = resumed.degradation
-        assert report.resumed_shards == ["shard-v0-2"]
-        assert not report.degraded
-
-    def test_journal_refuses_a_different_run(self, tmp_path):
-        journal = tmp_path / "fleet.journal"
+    @pytest.fixture(scope="class")
+    def interrupted(self, tmp_path_factory):
+        """A journal left by an aborted K=2 run of TINY4/FLEET."""
+        journal = tmp_path_factory.mktemp("resume") / "fleet.journal"
         aborting = runtime(
             chaos=ChaosPlan.of(("shard-v1-3", 0, "abort")))
         with pytest.raises(RunAborted):
             run_fleet_sharded(TINY4, FLEET, shards=2, runtime=aborting,
                               journal_path=journal)
+        return journal
+
+    @pytest.mark.parametrize("change", [
+        {"max_destinations": 3},
+        {"destination_seed": 11},
+        {"strategy_builder": mda_strategy_builder},
+        {"shards": 4},
+    ], ids=["max_destinations", "destination_seed", "strategy_builder",
+            "shard_plan"])
+    def test_journal_refuses_a_changed_run_knob(self, interrupted,
+                                                change):
+        with pytest.raises(JournalError, match="different run"):
+            run_fleet_sharded(TINY4, FLEET,
+                              **{"shards": 2, **change},
+                              journal_path=interrupted)
+
+    def test_journal_refuses_a_different_run(self, interrupted):
         other = replace(TINY4, seed=10)
         with pytest.raises(JournalError, match="different run"):
             run_fleet_sharded(other, FLEET, shards=2,
-                              journal_path=journal)
+                              journal_path=interrupted)
 
 
 class TestReassignment:
@@ -161,38 +156,3 @@ class TestGracefulDegradation:
         assert degraded.signature() != single.signature()
         # Degradation rides outside the signed payload.
         assert "degradation" not in degraded.to_dict()
-
-
-MONITOR = MonitorConfig(duration=60.0, periods=(30.0,), max_rounds=2,
-                        fleet=FleetConfig(workers=2))
-
-
-class TestMonitorRecovery:
-    """The monitor path inherits the same guarantees."""
-
-    @pytest.fixture(scope="class")
-    def reference(self):
-        return run_monitor(TINY4, MONITOR, max_destinations=3,
-                           metrics=False)
-
-    def test_supervised_chaos_run_matches_single(self, reference):
-        service = MonitorService(TINY4, MONITOR, max_destinations=3,
-                                 metrics=False)
-        chaos = ChaosPlan.of(("shard-v1-3", 0, "crash"))
-        recovered = service.run(shards=2,
-                                runtime=runtime(chaos=chaos))
-        assert recovered.signature() == reference.signature()
-        assert recovered.degradation.incidents[0].kind == "crash"
-
-    def test_monitor_journal_resume(self, reference, tmp_path):
-        journal = tmp_path / "monitor.journal"
-        service = MonitorService(TINY4, MONITOR, max_destinations=3,
-                                 metrics=False)
-        aborting = runtime(
-            chaos=ChaosPlan.of(("shard-v1-3", 0, "abort")))
-        with pytest.raises(RunAborted):
-            service.run(shards=2, runtime=aborting,
-                        journal_path=journal)
-        resumed = service.run(shards=2, journal_path=journal)
-        assert resumed.signature() == reference.signature()
-        assert resumed.degradation.resumed_shards == ["shard-v0-2"]

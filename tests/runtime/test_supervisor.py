@@ -143,11 +143,12 @@ class TestReassignment:
         assert run.report.excluded_vantages == [0]
 
     def test_reassignment_disabled_excludes_the_group(self):
+        # No ``split`` means no reassignment: the group is excluded.
         spec = [ShardSpec(key="g", task=7, vantage_ids=[0, 1]),
                 ShardSpec(key="ok", task=1, vantage_ids=[2])]
         run = ShardSupervisor(
-            spec, work, split=split,
-            options=options(max_retries=0, reassign=False,
+            spec, work,
+            options=options(max_retries=0,
                             chaos=ChaosPlan.of(("g", 0, "crash"))),
         ).execute()
         assert run.report.excluded_vantages == [0, 1]

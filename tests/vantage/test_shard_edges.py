@@ -1,25 +1,27 @@
 """Shard-planning edge cases: degenerate partitions and wrong-shard
-results (ISSUE 10 satellite).
+results.
 
 ``plan_shards`` reuses the paper's destination round-robin
 (``split_among_workers``); these tests pin the corners the happy-path
 determinism suite never exercises — more shards than vantages,
-empty shares, and the supervisor-facing validation hook that refuses
-to merge a result belonging to another shard.
+empty shares, and the shard runner's validation, which refuses to
+merge a result belonging to another shard.
 """
 
 import pytest
 
 from repro.errors import CampaignError
 from repro.measurement.destinations import split_among_workers
+from repro.runtime import RuntimeOptions
 from repro.topology import InternetConfig
-from repro.vantage import FleetConfig, plan_shards, run_fleet, run_fleet_sharded
-from repro.vantage.sharding import (
-    FleetShardTask,
-    fleet_shard_specs,
-    run_shard,
-    validate_fleet_shard,
+from repro.vantage import (
+    FleetConfig,
+    FleetResult,
+    plan_shards,
+    run_fleet,
+    run_fleet_sharded,
 )
+from repro.vantage.sharding import FleetShardTask, run_shard, run_sharded
 
 TINY = InternetConfig(
     seed=9, n_tier1=2, n_transit=2, n_stub=3, dests_per_stub=1,
@@ -28,6 +30,12 @@ TINY = InternetConfig(
     n_vantages=2)
 
 FLEET = FleetConfig(rounds=1, workers=2, seed=5)
+
+
+def run_fleet_tasks(tasks, run=run_shard, **kwargs):
+    """Fleet shard tasks through the shared runner."""
+    return run_sharded("fleet", tasks, run, FleetResult.merge,
+                       lambda result: result, **kwargs)
 
 
 class TestSplitAmongWorkers:
@@ -53,13 +61,23 @@ class TestPlanShards:
         with pytest.raises(CampaignError, match="at least one shard"):
             plan_shards(2, 0)
 
-    def test_specs_never_wrap_empty_shards(self):
+    def test_specs_never_wrap_empty_shards(self, tmp_path):
         tasks = [FleetShardTask(internet=TINY, fleet=FLEET,
                                 vantage_ids=ids)
                  for ids in plan_shards(2, 8)]
-        specs = fleet_shard_specs(tasks)
-        assert [s.key for s in specs] == ["shard-v0", "shard-v1"]
-        assert all(s.vantage_ids for s in specs)
+        seen = []
+
+        def recording(task):
+            seen.append(list(task.vantage_ids))
+            return run_shard(task)
+
+        journal = tmp_path / "plan.journal"
+        run_fleet_tasks(tasks, recording, journal_path=journal)
+        # The rerun resumes every shard, which names the shard keys.
+        resumed = run_fleet_tasks(tasks, recording, journal_path=journal)
+        assert resumed.degradation.resumed_shards == \
+            ["shard-v0", "shard-v1"]
+        assert seen == [[0], [1]]
 
 
 class TestOversharding:
@@ -76,10 +94,14 @@ class TestWrongShardResults:
         theirs = FleetShardTask(internet=TINY, fleet=FLEET,
                                 vantage_ids=[1])
         stray = run_shard(theirs)
+        # Rejected on every attempt, never merged: nothing survives.
         with pytest.raises(CampaignError, match="wrong-shard"):
-            validate_fleet_shard(mine, stray)
+            run_fleet_tasks([mine], lambda task: stray,
+                            runtime=RuntimeOptions(max_retries=0))
 
     def test_own_result_accepted(self):
         task = FleetShardTask(internet=TINY, fleet=FLEET,
                               vantage_ids=[0, 1])
-        validate_fleet_shard(task, run_shard(task))
+        result = run_fleet_tasks([task])
+        assert result.degradation is None
+        assert [v.index for v in result.vantages] == [0, 1]

@@ -54,9 +54,10 @@ link censuses are seed-deterministic and drift-gated.
 
 Schema 6 adds a ``runtime`` leg
 (``benchmarks/test_bench_runtime_recovery.py``): the supervised
-executor's overhead over the bare shard pool (gated at <= 5 % on the
-median *paired* ratio over interleaved timing rounds, recorded with
-its quartiles ``overhead_q1``/``overhead_q3``; the walls are the
+executor's overhead over the same shard plan run unsupervised
+(``run_shard`` per task, then ``FleetResult.merge``; gated at <= 5 %
+on the median *paired* ratio over interleaved timing rounds, recorded
+with its quartiles ``overhead_q1``/``overhead_q3``; the walls are the
 per-mode medians), the wall cost of recovering one seeded worker crash
 (``time_to_recover_s``, trend only), and a new deterministic gate —
 bare, supervised, and crash-recovered runs must all produce the same
@@ -335,8 +336,9 @@ def check(record: dict, baseline: dict) -> list[str]:
     if not runtime["signature_match"]:
         problems.append(
             "runtime: supervised or crash-recovered execution no "
-            "longer reproduces the bare shard pool's signature — "
-            "recovery stopped being invisible in the output")
+            "longer reproduces the unsupervised shard plan's "
+            "signature — recovery stopped being invisible in the "
+            "output")
     ceiling = 1.0 + SUPERVISOR_OVERHEAD_TOLERANCE
     if runtime["overhead_ratio"] > ceiling:
         problems.append(
