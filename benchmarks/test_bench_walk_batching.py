@@ -1,24 +1,21 @@
-"""E12 — the prefix-aggregated transit plane vs the per-destination walk.
+"""E12 — the prefix-aggregated transit plane's lookup economy.
 
 Two legs, both runnable standalone and through ``tools/bench_record.py``
 (which persists the numbers to ``BENCH_walk.json`` so the perf
 trajectory survives across PRs):
 
 - **campaign** — the multi-destination Sec. 3 campaign (pipelined
-  engine) on a deterministic internet, once with the transit plane's
-  cross-destination batching and once with the pre-aggregation
-  per-destination walker (``Network.transit_batching = False``).  The
-  inferences must match route for route; the batched plane must
-  resolve at least 2x fewer LPM lookups (it measures ~3-4x: one FIB
-  walk per forwarding-equivalence region instead of one linear scan
-  per destination per router) and must not cost wall-clock (the
-  asserted bound is a noise guard; the measured ratio is recorded).
+  engine) on a deterministic internet.  The economy gate: the distinct
+  (router, destination) pairs the walk resolved must be at least 2x the
+  LPM lookups it paid (it measures ~3.4x: one FIB walk per
+  forwarding-equivalence region instead of one per destination per
+  router).  Route identity against the per-packet walk is pinned on
+  the same internet by ``benchmarks/test_bench_engine_pipelining.py``.
 - **fleet** — an 8-lane 4-vantage fleet campaign under the adversarial
   fault profile, merged into single cross-vantage cohorts.  The leg
-  pins the determinism half of the tentpole: the single-process run
-  and a 2-shard run must produce byte-identical ``FleetResult``
-  signatures with the faults on, and the batched plane again needs
-  ≥ 2x fewer lookups than the per-destination baseline.
+  pins the determinism half: the single-process run and a 2-shard run
+  must produce byte-identical ``FleetResult`` signatures with the
+  faults on, and the same ≥ 2x economy must hold (it measures ~6x).
 
 Environment knobs: ``REPRO_BENCH_SEED`` and ``REPRO_BENCH_ROUNDS``
 (see ``benchmarks/conftest.py``; the campaign leg caps rounds at 4 to
@@ -32,6 +29,7 @@ import pytest
 from benchmarks.conftest import BENCH_ROUNDS, BENCH_SEED
 from repro.measurement.campaign import Campaign, CampaignConfig
 from repro.measurement.destinations import select_pingable_destinations
+from repro.sim.router import Router
 from repro.topology.internet import InternetConfig, generate_internet
 from repro.vantage.campaign import FleetCampaign, FleetConfig, FleetResult
 
@@ -41,11 +39,8 @@ WORKERS = 32
 FLEET_VANTAGES = 4
 FLEET_WORKERS = 8
 
-#: Wall-clock guard: cross-destination batching must never *cost* real
-#: time.  Each mode is measured twice, interleaved, and compared on
-#: minima (load spikes on shared runners hit both modes); the margin
-#: absorbs what interleaving cannot.  The measured ratio is what lands
-#: in BENCH_walk.json — lookup counts, not walls, are the hard gate.
+#: Wall-clock noise margin for the disabled-registry guard below: the
+#: same hot path measured twice on a shared runner differs by this much.
 WALL_NOISE_MARGIN = 1.25
 
 
@@ -71,11 +66,47 @@ def install_registry(network, metrics):
         network.metrics = MetricsRegistry(enabled=(metrics == "on"))
 
 
-def run_campaign_leg(batching, seed=BENCH_SEED, rounds=WALK_ROUNDS,
-                     metrics=None):
-    """One pipelined campaign on a fresh replica; returns measurements."""
+def route_resolutions(network):
+    """Distinct (router, destination) pairs resolved via ``lookup_cached``.
+
+    Each router's per-destination memo holds one pair per destination
+    it resolved: what a walk without covering-prefix aggregation would
+    pay in full LPM lookups.  Only the cohort walk fills the memos (the
+    per-packet :meth:`Network.inject` path resolves through
+    :meth:`Router.lookup`), so this counts the timed leg alone.
+    """
+    return sum(len(node._lookup_cache) for node in network.nodes.values()
+               if isinstance(node, Router))
+
+
+def timed_run(network, campaign):
+    """Zero the counters, run ``campaign``, and measure the leg."""
+    # Shared zeroing path: the pingable pre-screen's lookups (and any
+    # registry series it touched) must not leak into this leg's count.
+    # It walks per packet, so it leaves the route memos empty.
+    network.reset_counters()
+    assert route_resolutions(network) == 0
+    started = time.perf_counter()
+    result = campaign.run()
+    wall = time.perf_counter() - started
+    return {
+        "result": result,
+        "wall_s": wall,
+        "lookups": network.route_lookups(),
+        "resolutions": route_resolutions(network),
+        "snapshot": result.metrics,
+    }
+
+
+def run_campaign_leg(seed=BENCH_SEED, rounds=WALK_ROUNDS, metrics=None,
+                     engine="pipelined"):
+    """One campaign on a fresh replica; returns measurements.
+
+    ``engine="sequential"`` walks every probe through
+    :meth:`Network.inject` — the per-packet oracle the batched plane's
+    routes are checked against.
+    """
     topology = campaign_internet(seed)
-    topology.network.transit_batching = batching
     destinations = select_pingable_destinations(
         topology.network, topology.source,
         topology.destination_addresses, seed=seed)
@@ -83,23 +114,13 @@ def run_campaign_leg(batching, seed=BENCH_SEED, rounds=WALK_ROUNDS,
     campaign = Campaign(
         topology.network, topology.source, destinations,
         CampaignConfig(rounds=rounds, workers=WORKERS, seed=seed,
-                       engine="pipelined"))
-    # Shared zeroing path: the pingable pre-screen's lookups (and any
-    # registry series it touched) must not leak into this leg's count.
-    topology.network.reset_counters()
-    started = time.perf_counter()
-    result = campaign.run()
-    wall = time.perf_counter() - started
-    return {
-        "result": result,
-        "wall_s": wall,
-        "lookups": topology.network.route_lookups(),
-        "probes": result.probes_sent,
-        "snapshot": result.metrics,
-    }
+                       engine=engine))
+    leg = timed_run(topology.network, campaign)
+    leg["probes"] = leg["result"].probes_sent
+    return leg
 
 
-def run_fleet_leg(batching, seed=BENCH_SEED, vantage_ids=None,
+def run_fleet_leg(seed=BENCH_SEED, vantage_ids=None,
                   fault_profile="adversarial", metrics=None):
     """One fleet campaign (all vantages or a shard) on a fresh replica."""
     from repro.faults import make_fault_profile
@@ -115,7 +136,6 @@ def run_fleet_leg(batching, seed=BENCH_SEED, vantage_ids=None,
                        if fault_profile else None),
     )
     topology = generate_internet(config)
-    topology.network.transit_batching = batching
     destinations = select_pingable_destinations(
         topology.network, topology.source,
         topology.destination_addresses, seed=seed)
@@ -124,17 +144,10 @@ def run_fleet_leg(batching, seed=BENCH_SEED, vantage_ids=None,
         topology.network, topology.sources, destinations,
         FleetConfig(rounds=1, workers=FLEET_WORKERS, seed=seed),
         vantage_ids=vantage_ids)
-    topology.network.reset_counters()
-    started = time.perf_counter()
-    result = campaign.run()
-    wall = time.perf_counter() - started
-    return {
-        "result": result,
-        "wall_s": wall,
-        "lookups": topology.network.route_lookups(),
-        "probes": sum(v.result.probes_sent for v in result.vantages),
-        "snapshot": result.metrics,
-    }
+    leg = timed_run(topology.network, campaign)
+    leg["probes"] = sum(v.result.probes_sent
+                        for v in leg["result"].vantages)
+    return leg
 
 
 def route_signature(route):
@@ -145,105 +158,75 @@ def route_signature(route):
                    h.unreachable_flag, str(h.kind)) for h in route.hops))
 
 
-def min_wall(runs):
-    """The least-disturbed measurement of a mode's repeated runs."""
-    return min(run["wall_s"] for run in runs)
-
-
 @pytest.mark.benchmark(group="walk")
 def test_bench_walk_batching_campaign(benchmark):
-    legacy_runs = [run_campaign_leg(batching=False)]
-
-    batched_runs = []
+    runs = []
 
     def batched_run():
-        batched_runs.append(run_campaign_leg(batching=True))
-        return batched_runs[-1]["result"]
+        runs.append(run_campaign_leg())
+        return runs[-1]["result"]
 
     benchmark.pedantic(batched_run, iterations=1, rounds=1)
-    # Interleave the repeats so runner load hits both modes alike.
-    legacy_runs.append(run_campaign_leg(batching=False))
-    batched_runs.append(run_campaign_leg(batching=True))
-    legacy, batched = legacy_runs[0], batched_runs[0]
+    batched = runs[0]
 
-    lookup_ratio = legacy["lookups"] / batched["lookups"]
-    wall_ratio = min_wall(legacy_runs) / min_wall(batched_runs)
+    lookup_ratio = batched["resolutions"] / batched["lookups"]
     benchmark.extra_info.update({
-        "legacy_wall_s": round(min_wall(legacy_runs), 3),
-        "batched_wall_s": round(min_wall(batched_runs), 3),
-        "wall_ratio": round(wall_ratio, 2),
-        "legacy_lookups": legacy["lookups"],
-        "batched_lookups": batched["lookups"],
+        "wall_s": round(batched["wall_s"], 3),
+        "lookups": batched["lookups"],
+        "resolutions": batched["resolutions"],
         "lookup_ratio": round(lookup_ratio, 2),
         "probes": batched["probes"],
     })
     print()
-    print(f"  routes: {len(batched['result'].routes)} per mode "
+    print(f"  routes: {len(batched['result'].routes)} "
           f"({WALK_ROUNDS} rounds x {WORKERS} workers)")
-    print(f"  LPM lookups: per-destination {legacy['lookups']}, "
-          f"prefix-aggregated {batched['lookups']} "
-          f"({lookup_ratio:.1f}x fewer)")
-    print(f"  wall-clock: per-destination {min_wall(legacy_runs):.2f} s, "
-          f"batched {min_wall(batched_runs):.2f} s ({wall_ratio:.2f}x)")
+    print(f"  (router, destination) resolutions {batched['resolutions']}, "
+          f"LPM lookups {batched['lookups']} ({lookup_ratio:.1f}x fewer)")
+    print(f"  wall-clock: {batched['wall_s']:.2f} s")
 
-    # Identical inferences, route for route.
-    assert (sorted(route_signature(r) for r in batched["result"].routes)
-            == sorted(route_signature(r) for r in legacy["result"].routes))
-    assert batched["probes"] == legacy["probes"]
-    # The tentpole's lookup economy: >= 2x fewer LPM resolutions.
-    assert batched["lookups"] * 2 <= legacy["lookups"]
-    # And it must not cost wall-clock (measured ratio recorded above).
-    assert min_wall(batched_runs) <= min_wall(legacy_runs) * WALL_NOISE_MARGIN
+    # The lookup economy: >= 2x fewer LPM resolutions than destinations
+    # resolved per router.
+    assert batched["lookups"] * 2 <= batched["resolutions"]
 
 
 @pytest.mark.benchmark(group="walk")
 def test_bench_walk_batching_fleet(benchmark):
-    legacy_runs = [run_fleet_leg(batching=False)]
-
-    batched_runs = []
+    runs = []
 
     def batched_run():
-        batched_runs.append(run_fleet_leg(batching=True))
-        return batched_runs[-1]["result"]
+        runs.append(run_fleet_leg())
+        return runs[-1]["result"]
 
     benchmark.pedantic(batched_run, iterations=1, rounds=1)
-    legacy_runs.append(run_fleet_leg(batching=False))
-    batched_runs.append(run_fleet_leg(batching=True))
-    legacy, batched = legacy_runs[0], batched_runs[0]
+    batched = runs[0]
 
     # Sharded execution over seeded replicas: two shards, merged.
-    shard_a = run_fleet_leg(batching=True, vantage_ids=[0, 2])
-    shard_b = run_fleet_leg(batching=True, vantage_ids=[1, 3])
+    shard_a = run_fleet_leg(vantage_ids=[0, 2])
+    shard_b = run_fleet_leg(vantage_ids=[1, 3])
     merged = FleetResult.merge([shard_a["result"], shard_b["result"]])
 
     single_signature = batched["result"].signature()
     sharded_signature = merged.signature()
-    lookup_ratio = legacy["lookups"] / batched["lookups"]
-    wall_ratio = min_wall(legacy_runs) / min_wall(batched_runs)
+    lookup_ratio = batched["resolutions"] / batched["lookups"]
     benchmark.extra_info.update({
-        "legacy_wall_s": round(min_wall(legacy_runs), 3),
-        "batched_wall_s": round(min_wall(batched_runs), 3),
-        "wall_ratio": round(wall_ratio, 2),
-        "legacy_lookups": legacy["lookups"],
-        "batched_lookups": batched["lookups"],
+        "wall_s": round(batched["wall_s"], 3),
+        "lookups": batched["lookups"],
+        "resolutions": batched["resolutions"],
         "lookup_ratio": round(lookup_ratio, 2),
         "signature": single_signature[:16],
     })
     print()
     print(f"  fleet: {FLEET_VANTAGES} vantages x {FLEET_WORKERS} lanes, "
           f"adversarial faults, merged cross-vantage cohorts")
-    print(f"  LPM lookups: per-destination {legacy['lookups']}, "
-          f"prefix-aggregated {batched['lookups']} "
-          f"({lookup_ratio:.1f}x fewer)")
-    print(f"  wall-clock: per-destination {min_wall(legacy_runs):.2f} s, "
-          f"batched {min_wall(batched_runs):.2f} s ({wall_ratio:.2f}x)")
+    print(f"  (router, destination) resolutions {batched['resolutions']}, "
+          f"LPM lookups {batched['lookups']} ({lookup_ratio:.1f}x fewer)")
+    print(f"  wall-clock: {batched['wall_s']:.2f} s")
     print(f"  determinism: single {single_signature[:16]}… == "
           f"sharded {sharded_signature[:16]}…")
 
     # The acceptance bar: byte-identical signatures with faults on.
     assert single_signature == sharded_signature
-    assert batched["lookups"] * 2 <= legacy["lookups"]
-    assert min_wall(batched_runs) <= min_wall(legacy_runs) * WALL_NOISE_MARGIN
+    assert batched["lookups"] * 2 <= batched["resolutions"]
 
 
 #: Observability overhead ceiling on the campaign leg: the 5 %
@@ -273,8 +256,7 @@ def test_bench_walk_metrics_overhead(benchmark):
         # previous leg left would otherwise bill its collection time
         # to this one.
         gc.collect()
-        leg = run_campaign_leg(batching=True,
-                               metrics=None if mode == "none" else mode)
+        leg = run_campaign_leg(metrics=None if mode == "none" else mode)
         wall_times[mode].append(leg["wall_s"])
         if mode not in first:
             # Keep only the light parts of the first leg per mode.

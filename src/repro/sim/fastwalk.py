@@ -41,12 +41,12 @@ router behaviour:
 
 **Determinism across cohort compositions.**  Order-sensitive simulator
 state falls in two classes.  Shared streams (per-packet balancers, link
-loss RNGs) are consumed in walk order, which differs between walkers
-and between cohort compositions — exactly the deviation the
-pre-aggregation walker already documented, and why the byte-identical
-guarantees exclude such topologies.  Per-client state (IP-ID streams,
-ICMP token buckets, burst-loss channels, the delivery fault plane) is
-where the sharded-fleet guarantee lives, and the batched walk protects
+loss RNGs) are consumed in walk order, which differs from the order
+of per-packet :meth:`Network.inject` calls and between cohort
+compositions — which is why the byte-identical guarantees exclude such
+topologies.  Per-client state (IP-ID streams, ICMP token buckets,
+burst-loss channels, the delivery fault plane) is where the
+sharded-fleet guarantee lives, and the batched walk protects
 it *structurally*: transit consumes no per-client state at all (and
 segment jumps are bit-equal to walking, so *who* warmed a memo can
 never matter), while side effects fire only at park-processing time —
@@ -59,10 +59,9 @@ that lets the scheduler merge all vantages' staged probes into a
 single cross-vantage cohort while keeping sharded fleet campaigns
 byte-identical to single-process ones, faults included.
 
-The pre-aggregation walker (exact-destination group keys, one
-linear-scan resolution per destination, per-probe NAT transit) is
-retained behind ``Network.transit_batching = False`` as the calibrated
-baseline of ``benchmarks/test_bench_walk_batching.py``.
+The exact-semantics reference is the per-packet :meth:`Network.walk`
+behind :meth:`Network.inject`; ``tests/sim/test_transit_plane.py``
+proves a cohort walk equal to sequential injects.
 """
 
 from __future__ import annotations
@@ -693,173 +692,6 @@ class _BatchedWalk:
                 raise TypeError(f"unknown action {action!r}")
 
 
-#: Legacy group key: (node, ingress interface or None, destination).
-_GroupKey = tuple[Node, Optional[Interface], IPv4Address]
-
-
-class _PerDestinationWalk:
-    """The pre-aggregation cohort walker (exact-destination groups).
-
-    Kept as the calibrated baseline for the walk-batching benchmarks
-    and as the ``Network.transit_batching = False`` escape hatch: group
-    keys carry the destination, every (node, destination) resolves its
-    route separately (``aggregate=False``, so each new destination is a
-    full linear-scan lookup), and NAT boxes always take the per-probe
-    ``receive`` path.  Its worklist ordering is the pre-batching one;
-    outputs differ from the batched walker only in order-sensitive
-    state consumption (documented above).
-    """
-
-    def __init__(self, network: Network) -> None:
-        self.network = network
-        self.now = network.clock.now
-        self.result = WalkResult()
-        self.groups: dict[_GroupKey, list[_Traveler]] = {}
-        self._buckets: dict[tuple[int, bytes, int], int] = {}
-        # Destination address -> owning node (None when unowned).
-        self._targets: dict[IPv4Address, Optional[Node]] = {}
-
-    # -- walk entry points ----------------------------------------------
-    def start_local(self, node: Node, packet: Packet, delay: float,
-                    steps: int) -> None:
-        """A locally-generated packet: route it out of ``node``."""
-        steps += 1
-        if steps > MAX_WALK_STEPS:
-            self.result.drops.append(
-                DropRecord(node, packet, "walk step budget exhausted", delay)
-            )
-            return
-        if type(node) is Router:
-            entry = self.lookup(node, packet.ip.dst)
-            if entry is None or entry.unreachable:
-                self.result.drops.append(
-                    DropRecord(node, packet,
-                               "no route for locally generated packet", delay)
-                )
-                return
-            traveler = _Traveler(packet, packet.ip.ttl, delay, steps)
-            egresses = entry.egresses
-            if len(egresses) == 1:
-                index = 0
-            else:
-                index = self.choose_egress(entry, traveler)
-            self.traverse(egresses[index], packet.ip.dst, [traveler],
-                          decrement=False)
-            return
-        self.process_actions(node.dispatch(packet, self.network), delay, steps)
-
-    def run(self) -> WalkResult:
-        while self.groups:
-            key = next(iter(self.groups))
-            travelers = self.groups.pop(key)
-            self.advance_group(*key, travelers)
-        return self.result
-
-    # -- the per-node advance -------------------------------------------
-    def advance_group(
-        self,
-        node: Node,
-        in_iface: Optional[Interface],
-        dst: IPv4Address,
-        travelers: list[_Traveler],
-    ) -> None:
-        try:
-            target = self._targets[dst]
-        except KeyError:
-            target = self.network.node_owning(dst)
-            self._targets[dst] = target
-        fast: list[_Traveler] = []
-        for traveler in travelers:
-            traveler.steps += 1
-            if traveler.steps > MAX_WALK_STEPS:
-                self.result.drops.append(
-                    DropRecord(node, traveler.materialize(),
-                               "walk step budget exhausted", traveler.delay)
-                )
-            elif (type(node) is Router and node is not target
-                  and traveler.ttl >= 2):
-                fast.append(traveler)
-            else:
-                self.receive_one(node, in_iface, traveler)
-        if not fast:
-            return
-        entry = self.lookup(node, dst)
-        if entry is None or entry.unreachable:
-            # Unreachable and no-route probes draw per-probe responses;
-            # the router's own code keeps the semantics exact.
-            for traveler in fast:
-                self.receive_one(node, in_iface, traveler)
-            return
-        egresses = entry.egresses
-        if len(egresses) == 1:
-            self.traverse(egresses[0], dst, fast)
-            return
-        chosen: dict[int, list[_Traveler]] = {}
-        for traveler in fast:
-            index = self.choose_egress(entry, traveler)
-            chosen.setdefault(index, []).append(traveler)
-        for index, group in chosen.items():
-            self.traverse(egresses[index], dst, group)
-
-    choose_egress = _BatchedWalk.choose_egress
-
-    def traverse(self, iface: Interface, dst: IPv4Address,
-                 travelers: list[_Traveler], decrement: bool = True) -> None:
-        link = iface.link
-        if link is None:
-            for traveler in travelers:
-                self.result.drops.append(
-                    DropRecord(iface.node, traveler.materialize(),
-                               f"{iface.label} has no link", traveler.delay)
-                )
-            return
-        peer = link.peer_of(iface)
-        survivors: list[_Traveler] = []
-        lossless = link.up and link.loss_rate <= 0.0
-        for traveler in travelers:
-            if decrement:
-                traveler.ttl -= 1
-            if not lossless and link.drops_packet():
-                self.result.drops.append(
-                    DropRecord(iface.node, traveler.materialize(),
-                               f"lost on link at {iface.label}",
-                               traveler.delay)
-                )
-                continue
-            traveler.delay += link.delay
-            survivors.append(traveler)
-        if survivors:
-            self.groups.setdefault((peer.node, peer, dst), []).extend(survivors)
-
-    # -- exact-semantics handoff ----------------------------------------
-    receive_one = _BatchedWalk.receive_one
-
-    def process_actions(self, actions, delay: float, steps: int) -> None:
-        for action in actions:
-            if isinstance(action, Transmit):
-                packet = action.packet
-                traveler = _Traveler(packet, packet.ip.ttl, delay, steps)
-                self.traverse(action.interface, packet.ip.dst, [traveler],
-                              decrement=False)
-            elif isinstance(action, Respond):
-                self.start_local(action.node, action.packet,
-                                 delay + action.delay, steps)
-            elif isinstance(action, Deliver):
-                self.result.deliveries.append(
-                    Delivery(action.node, action.packet, delay)
-                )
-            elif isinstance(action, Drop):
-                self.result.drops.append(
-                    DropRecord(action.node, action.packet, action.reason,
-                               delay)
-                )
-            else:  # pragma: no cover - actions are exhaustive
-                raise TypeError(f"unknown action {action!r}")
-
-    def lookup(self, node: Router, dst: IPv4Address):
-        return node.lookup_cached(dst, self.now, aggregate=False)[0]
-
-
 def walk_cohorts(
     network: Network,
     batches: Sequence[tuple[Node, Sequence[Packet]]],
@@ -873,21 +705,8 @@ def walk_cohorts(
     caller applies dynamics first, as :meth:`Network.submit_cohorts`
     does.
     """
-    if network.transit_batching:
-        walk = _BatchedWalk(network)
-    else:
-        walk = _PerDestinationWalk(network)
+    walk = _BatchedWalk(network)
     for at, packets in batches:
         for packet in packets:
             walk.start_local(at, packet, 0.0, 0)
     return walk.run()
-
-
-def walk_cohort(network: Network, packets: Sequence[Packet],
-                at: Node) -> WalkResult:
-    """Walk one origin's batch of packets to quiescence.
-
-    The single-vantage entry point kept for callers and tests;
-    equivalent to ``walk_cohorts(network, [(at, packets)])``.
-    """
-    return walk_cohorts(network, [(at, packets)])

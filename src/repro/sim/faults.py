@@ -208,15 +208,6 @@ class FaultProfile:
         self._buckets[client] = (0.0, ready_at)
         return ready_at - now
 
-    def allow_response_at(self, now: float,
-                          client: IPv4Address | None = None) -> bool:
-        """Boolean view of :meth:`response_delay_at` (legacy callers).
-
-        Consumes a token when it grants one; a deferred grant counts as
-        allowed.
-        """
-        return self.response_delay_at(now, client) is not None
-
     @property
     def well_behaved(self) -> bool:
         """True when no quirk is enabled."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import TopologyError
 from repro.net.inet import IPv4Address
@@ -83,13 +83,6 @@ class Network:
         # one dict probe for every walker — never a scan over nodes.
         self._address_index: dict[IPv4Address, Node] = {}
         self._dynamics: list = []
-        #: Cohort-walk mode: True routes :meth:`submit_cohort` /
-        #: :meth:`submit_cohorts` through the prefix-aggregated transit
-        #: plane (cross-destination grouping, NAT fast transit, merged
-        #: vantage cohorts); False falls back to the pre-aggregation
-        #: per-destination walker — the calibrated baseline of the
-        #: walk-batching benchmarks.
-        self.transit_batching = True
         #: Optional delivery-path fault policy (jitter, duplication):
         #: a :class:`repro.faults.DeliveryFaultPlane` applied to every
         #: walk's deliveries before the caller (blocking socket) or the
@@ -103,7 +96,6 @@ class Network:
         #: Optional :class:`repro.obs.ProbeTracer` recording probe
         #: lifecycle spans on this network's simulated clock.
         self.tracer = None
-        # Transit-plane metric children bound once per registry — a
         # Transit-plane metrics accumulator filled by the batched
         # walk's publish path (walks are rebuilt per cohort batch, so
         # they cannot carry it themselves).
@@ -319,31 +311,17 @@ class Network:
         plane, whose round-based scheduling keeps each probing client's
         fault/forensics timeline independent of cohort composition (the
         sharded-fleet byte-identity guarantee; see
-        :mod:`repro.sim.fastwalk`).  With :attr:`transit_batching` off,
-        each origin's batch walks separately through the per-destination
-        baseline walker, replicating the pre-aggregation pipeline
-        (including its per-walk fault-plane application) exactly.
+        :mod:`repro.sim.fastwalk`).
         """
         from repro.sim.fastwalk import walk_cohorts
 
         self.apply_dynamics()
-        if self.transit_batching:
-            result = walk_cohorts(self, batches)
-            if self.fault_plane is not None:
-                self.fault_plane.apply(result, metrics=self.metrics)
-            self._count_fault_drops(result)
-            self._buffer_deliveries(result)
-            return result
-        combined = WalkResult()
-        for at, packets in batches:
-            result = walk_cohorts(self, [(at, packets)])
-            if self.fault_plane is not None:
-                self.fault_plane.apply(result, metrics=self.metrics)
-            self._count_fault_drops(result)
-            self._buffer_deliveries(result)
-            combined.deliveries.extend(result.deliveries)
-            combined.drops.extend(result.drops)
-        return combined
+        result = walk_cohorts(self, batches)
+        if self.fault_plane is not None:
+            self.fault_plane.apply(result, metrics=self.metrics)
+        self._count_fault_drops(result)
+        self._buffer_deliveries(result)
+        return result
 
     def _count_fault_drops(self, result: WalkResult) -> None:
         """Attribute burst-loss drops to the soliciting client.
@@ -441,17 +419,3 @@ class Network:
             )
             lines.append(f"  {type(node).__name__} {name}: {ifaces}")
         return "\n".join(lines)
-
-
-def dispatchable(node: Node) -> bool:
-    """True if ``node`` can originate packets (has a dispatch method)."""
-    return hasattr(node, "dispatch")
-
-
-def ensure_iterable_interfaces(
-    interfaces: Interface | Iterable[Interface],
-) -> list[Interface]:
-    """Normalize a single interface or an iterable into a list."""
-    if isinstance(interfaces, Interface):
-        return [interfaces]
-    return list(interfaces)

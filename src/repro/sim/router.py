@@ -128,7 +128,7 @@ class Router(Node):
         # lookup_cached(); invalidated on any table or override change,
         # bypassed while overrides exist.
         self._lookup_cache: dict[
-            IPv4Address, tuple[Optional[RouteEntry], Optional[Prefix]]] = {}
+            IPv4Address, tuple[Optional[RouteEntry], Prefix]] = {}
         # Lazily built binary trie over the static table, plus the
         # covering-prefix index it feeds: (length, network int) ->
         # memoised (entry, prefix) pair.  Covering prefixes are
@@ -249,21 +249,18 @@ class Router(Node):
         return list(self._table)
 
     def lookup_cached(
-        self, dst: IPv4Address, now: float, aggregate: bool = True,
+        self, dst: IPv4Address, now: float,
     ) -> tuple[Optional[RouteEntry], Optional[Prefix]]:
         """Memoised lookup returning ``(entry, covering prefix)``.
 
         The covering prefix is the forwarding-equivalence region around
         ``dst``: every destination inside it resolves to the same entry,
         so the cohort walker can group probes toward *different*
-        destinations behind one resolution.  With ``aggregate`` on (the
-        default), a new destination first consults the covering-prefix
-        index — a hit costs one dict probe per distinct cached prefix
-        length and performs no LPM at all — and only then walks the FIB
-        trie, registering the region it discovers.  ``aggregate=False``
-        reproduces the pre-aggregation behaviour (one linear-scan
-        :meth:`lookup` per new destination, covering prefix ``None``) —
-        the walk-batching benchmark's baseline.
+        destinations behind one resolution.  A new destination first
+        consults the covering-prefix index — a hit costs one dict probe
+        per distinct cached prefix length and performs no LPM at all —
+        and only then walks the FIB trie, registering the region it
+        discovers.
 
         Memos are dropped whenever the table or the override set
         changes, and skipped entirely while overrides are installed
@@ -274,20 +271,17 @@ class Router(Node):
         pair = self._lookup_cache.get(dst)
         if pair is not None:
             return pair
-        if aggregate:
-            value = int(dst)
-            for length in self._aggregate_lengths:
-                pair = self._aggregate.get((length, value & _MASKS[length]))
-                if pair is not None:
-                    self._lookup_cache[dst] = pair
-                    return pair
-            pair = self._fib_lookup(dst)
-            prefix = pair[1]
-            self._aggregate[(prefix.length, int(prefix.network))] = pair
-            if prefix.length not in self._aggregate_lengths:
-                self._aggregate_lengths.append(prefix.length)
-        else:
-            pair = (self.lookup(dst, now), None)
+        value = int(dst)
+        for length in self._aggregate_lengths:
+            pair = self._aggregate.get((length, value & _MASKS[length]))
+            if pair is not None:
+                self._lookup_cache[dst] = pair
+                return pair
+        pair = self._fib_lookup(dst)
+        prefix = pair[1]
+        self._aggregate[(prefix.length, int(prefix.network))] = pair
+        if prefix.length not in self._aggregate_lengths:
+            self._aggregate_lengths.append(prefix.length)
         self._lookup_cache[dst] = pair
         return pair
 

@@ -323,7 +323,7 @@ class FleetCampaign:
         self.sources = list(sources)
         # Counter fence for repeated campaigns on one network: the
         # lookup gauge publishes this run's resolutions only (see the
-        # same fence in :class:`repro.measurement.campaign.CampaignRunner`).
+        # same fence in :class:`repro.measurement.campaign.Campaign`).
         self._lookup_baseline = network.route_lookups()
         if not self.sources:
             raise CampaignError("a fleet needs at least one vantage point")

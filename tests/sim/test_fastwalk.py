@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.fastwalk import walk_cohort
+from repro.sim.fastwalk import walk_cohorts
 from repro.sim.network import WalkResult
 from repro.topology import figures
 from repro.tracer.probes import (
@@ -72,7 +72,7 @@ class TestSingleProbeExactness:
         for pa, pb in zip(probes_a, probes_b):
             legacy = fig_a.network.inject(pa, fig_a.source)
             fig_b.network.apply_dynamics()
-            fast = walk_cohort(fig_b.network, [pb], fig_b.source)
+            fast = walk_cohorts(fig_b.network, [(fig_b.source, [pb])])
             assert exact_snapshot(legacy) == exact_snapshot(fast)
 
 
@@ -88,10 +88,10 @@ class TestCohortExactness:
             merged.deliveries.extend(one.deliveries)
             merged.drops.extend(one.drops)
         fig_b.network.apply_dynamics()
-        cohort = walk_cohort(
-            fig_b.network,
+        cohort = walk_cohorts(fig_b.network, [(
+            fig_b.source,
             mixed_probes(fig_b.source.address, fig_b.destination_address),
-            fig_b.source)
+        )])
         assert masked_snapshot(merged) == masked_snapshot(cohort)
 
     def test_diamond_balancer_decisions_match(self):
@@ -105,7 +105,7 @@ class TestCohortExactness:
             merged.deliveries.extend(one.deliveries)
             merged.drops.extend(one.drops)
         net_b.apply_dynamics()
-        cohort = walk_cohort(net_b, list(probes), s_b)
+        cohort = walk_cohorts(net_b, [(s_b, list(probes))])
         assert masked_snapshot(merged) == masked_snapshot(cohort)
 
 

@@ -14,7 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.inet import IPv4Address, Prefix
 from repro.sim import Network, Router
+from repro.sim.fastwalk import walk_cohorts
 from repro.sim.router import TimedOverride
+from repro.tracer.probes import ParisUdpBuilder
+
+from tests.sim.helpers import chain_network
 
 
 def routed_pair():
@@ -79,19 +83,6 @@ class TestAggregatedLookup:
         # The /16's covering region must not swallow the /24.
         assert not outer_prefix.contains(IPv4Address("10.9.1.1"))
 
-    def test_aggregate_false_reproduces_linear_behaviour(self):
-        net, r, up = routed_pair()
-        r.add_route("10.9.0.0/16", up)
-        r.add_default_route(up)
-        count = r.lookup_count
-        entry, prefix = r.lookup_cached(IPv4Address("10.9.1.2"), 0.0,
-                                        aggregate=False)
-        assert prefix is None
-        assert r.lookup_count == count + 1
-        # A second destination in the same region pays its own lookup.
-        r.lookup_cached(IPv4Address("10.9.1.3"), 0.0, aggregate=False)
-        assert r.lookup_count == count + 2
-
     def test_overrides_bypass_every_memo(self):
         net, r, up = routed_pair()
         r.add_route("10.9.0.0/16", up)
@@ -122,6 +113,29 @@ class TestAggregatedLookup:
         base = net.route_lookups()
         r.lookup_cached(IPv4Address("10.9.1.2"), 0.0)
         assert net.route_lookups() == base + 1
+
+
+class TestWalkEconomy:
+    """The cohort walk must resolve through the covering-prefix index."""
+
+    def test_region_costs_one_destination_in_a_cohort(self):
+        """Eight destinations inside R1's and R2's covering region
+        (10.9.0.0/17 under a /16 route) cost the LPM resolutions of one:
+        a walk resolving through ``Router.lookup`` would pay per
+        destination."""
+
+        def lookups_after(dests):
+            net, s, *_ = chain_network()
+            probes = [ParisUdpBuilder(s.address, dst).build(ttl)
+                      for dst in dests for ttl in range(1, 5)]
+            net.apply_dynamics()
+            walk_cohorts(net, [(s, probes)])
+            return net.route_lookups()
+
+        dests = [IPv4Address(f"10.9.0.{i}") for i in range(1, 9)]
+        one = lookups_after(dests[:1])
+        assert one > 0
+        assert lookups_after(dests) == one
 
 
 class TestTrieEquivalence:

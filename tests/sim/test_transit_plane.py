@@ -1,6 +1,6 @@
 """Prefix-aggregated transit plane: exactness and composition invariance.
 
-Three properties anchor the batched walker:
+Two properties anchor the batched walker:
 
 1. **Inject equivalence** (seeded property test): a whole-cohort walk
    over a mixed-prefix destination set — NAT chains, faulted routers,
@@ -15,10 +15,6 @@ Three properties anchor the batched walker:
    forensics, every byte — are identical whether its probes walk alone
    or merged into a cross-vantage cohort.  This is the structural
    property behind the sharded-fleet byte-identity guarantee.
-
-3. **Mode equivalence**: the batched plane and the per-destination
-   baseline (``Network.transit_batching = False``) infer identical
-   deliveries on draw-free topologies.
 """
 
 import random
@@ -37,7 +33,7 @@ from repro.sim import (
     PerPacketPolicy,
     Router,
 )
-from repro.sim.fastwalk import walk_cohort, walk_cohorts
+from repro.sim.fastwalk import walk_cohorts
 from repro.sim.faults import FaultProfile
 from repro.tracer.probes import (
     ClassicUdpBuilder,
@@ -48,7 +44,7 @@ from repro.tracer.probes import (
 from tests.sim.test_fastwalk import exact_snapshot, masked_snapshot
 
 
-def scenario(seed, per_packet=False, contended=True):
+def scenario(seed, per_packet=False):
     """A seeded random internet-let with mixed-prefix destinations.
 
     S -- R0 -- R1 ... with, drawn from ``seed``: a per-flow (or
@@ -82,8 +78,7 @@ def scenario(seed, per_packet=False, contended=True):
     # Quirks on the spine: at most one per router, never on R0 (it
     # answers every TTL-1 probe and seeds the return path).
     quirky = rng.sample(range(1, n_spine), k=min(2, n_spine - 1))
-    kinds = (["silent", "zero_ttl", "limit_defer", "limit_drop", "bursts"]
-             if contended else ["silent", "zero_ttl"])
+    kinds = ["silent", "zero_ttl", "limit_defer", "limit_drop", "bursts"]
     for index in quirky:
         r, __ = routers[index]
         kind = rng.choice(kinds)
@@ -226,8 +221,8 @@ class TestInjectEquivalence:
             merged_deliveries.extend(one.deliveries)
             merged_drops.extend(one.drops)
         net_b.apply_dynamics()
-        cohort = walk_cohort(net_b, cohort_for(s_b.address, dests_b, seed),
-                             s_b)
+        cohort = walk_cohorts(
+            net_b, [(s_b, cohort_for(s_b.address, dests_b, seed))])
 
         class _Merged:
             deliveries = merged_deliveries
@@ -248,27 +243,8 @@ class TestInjectEquivalence:
         for pa, pb in zip(probes_a, probes_b):
             legacy = net_a.inject(pa, s_a)
             net_b.apply_dynamics()
-            fast = walk_cohort(net_b, [pb], s_b)
+            fast = walk_cohorts(net_b, [(s_b, [pb])])
             assert exact_snapshot(legacy) == exact_snapshot(fast)
-
-
-class TestModeEquivalence:
-    @settings(max_examples=8, deadline=None, derandomize=True)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_batched_and_baseline_walkers_agree(self, seed):
-        """Modes may order per-client contention differently (token
-        buckets, burst channels — the documented order-only deviation),
-        so equivalence is asserted on contention-free quirk sets."""
-        net_a, s_a, dests_a = scenario(seed, contended=False)
-        net_b, s_b, dests_b = scenario(seed, contended=False)
-        net_a.transit_batching = False
-        net_a.apply_dynamics()
-        net_b.apply_dynamics()
-        baseline = walk_cohort(net_a, cohort_for(s_a.address, dests_a, seed),
-                               s_a)
-        batched = walk_cohort(net_b, cohort_for(s_b.address, dests_b, seed),
-                              s_b)
-        assert masked_snapshot(baseline) == masked_snapshot(batched)
 
 
 class _SourceOnlyFlow(PerFlowPolicy):
@@ -298,7 +274,7 @@ class TestFlowOfOverride:
             merged_deliveries.extend(one.deliveries)
             merged_drops.extend(one.drops)
         net_b.apply_dynamics()
-        cohort = walk_cohort(net_b, list(probes), s_b)
+        cohort = walk_cohorts(net_b, [(s_b, list(probes))])
 
         class _Merged:
             deliveries = merged_deliveries

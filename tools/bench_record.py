@@ -3,10 +3,10 @@
 
 Runs the two smoke legs of ``benchmarks/test_bench_walk_batching.py``
 — the multi-destination campaign and the adversarial-fault fleet —
-in both transit-plane modes and writes the measurements to
-``BENCH_walk.json`` at the repository root, so the perf trajectory
-survives across PRs (CI uploads the file as a build artifact; the
-committed copy is the recorded baseline).
+plus the monitor, warehouse, MDA-Lite and runtime legs, and writes the
+measurements to ``BENCH_walk.json`` at the repository root, so the perf
+trajectory survives across PRs (CI uploads the file as a build
+artifact; the committed copy is the recorded baseline).
 
 Wall-clock numbers are machine-dependent and recorded for trend
 reading only; the LPM lookup counts are *deterministic* for a given
@@ -17,11 +17,13 @@ seed and round count, which makes them CI-gateable::
 
 ``--check`` fails (exit 1) when the batched plane's lookup count
 regresses by more than 25 % against the recorded baseline, or when the
-aggregation no longer achieves 2x fewer lookups than the
-per-destination baseline, or when the fleet determinism signature
-stops matching between single-process and sharded execution, or when
-the metrics snapshot of an instrumented campaign stops agreeing with
-the uninstrumented probe count.
+aggregation no longer achieves 2x fewer lookups than the distinct
+(router, destination) pairs it resolved, or when the campaign's routes
+stop matching the per-packet oracle's, or when the fleet determinism
+signature stops matching between single-process and sharded
+execution, or when the metrics snapshot of an instrumented campaign
+stops agreeing with the uninstrumented probe count — among the
+per-leg gates listed below.
 
 Schema 2 adds ``probes_per_sec`` per leg (throughput trend, machine-
 dependent like the walls) and an ``instrumented`` campaign leg with
@@ -63,6 +65,19 @@ per-mode medians), the wall cost of recovering one seeded worker crash
 bare, supervised, and crash-recovered runs must all produce the same
 result signature.
 
+Schema 7 rebases the campaign and fleet legs on the one remaining
+cohort walker.  ``campaign.oracle`` is the same campaign (seed,
+rounds, 32 workers) on the sequential engine, which walks every probe
+through ``Network.inject``; ``campaign.routes_match`` compares the
+batched leg's inferences against it.  Its probe count differs by
+design (the pipelined window sends past the halt), and
+``campaign.wall_ratio`` now reads oracle over batched (trend only).
+``campaign.resolutions`` and ``fleet.resolutions`` count the distinct
+(router, destination) pairs the batched leg resolved (the routers'
+per-destination memos), and each ``lookup_ratio`` is resolutions over
+the leg's LPM lookups.  ``fleet.legacy`` and ``fleet.wall_ratio`` are
+gone.
+
 Environment: ``REPRO_BENCH_SEED`` / ``REPRO_BENCH_ROUNDS`` as for the
 benchmark suite — the recorded baseline is made with the defaults the
 CI smoke tier uses (seed 42, rounds 2), and ``--check`` refuses to
@@ -92,7 +107,7 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_walk.json"
 
 
 def measure(seed: int, rounds: int) -> dict:
-    """Run both legs in both modes; return the JSON-ready record."""
+    """Run every leg; return the JSON-ready record."""
     from benchmarks.test_bench_mda_lite import run_mda_lite_leg
     from benchmarks.test_bench_monitor_rounds import run_monitor_leg
     from benchmarks.test_bench_runtime_recovery import run_runtime_leg
@@ -112,20 +127,19 @@ def measure(seed: int, rounds: int) -> dict:
             "probes_per_sec": round(leg["probes"] / leg["wall_s"], 1),
         }
 
-    campaign_legacy = run_campaign_leg(batching=False, seed=seed,
-                                       rounds=rounds)
-    campaign_batched = run_campaign_leg(batching=True, seed=seed,
-                                        rounds=rounds)
+    campaign_oracle = run_campaign_leg(seed=seed, rounds=rounds,
+                                       engine="sequential")
+    campaign_batched = run_campaign_leg(seed=seed, rounds=rounds)
     routes_match = (
-        sorted(route_signature(r) for r in campaign_legacy["result"].routes)
+        sorted(route_signature(r) for r in campaign_oracle["result"].routes)
         == sorted(route_signature(r)
                   for r in campaign_batched["result"].routes))
 
     # Observability cross-check: a metrics-enabled batched campaign
     # must count exactly the probes the uninstrumented run reports,
     # and must infer byte-identical routes.
-    campaign_metrics = run_campaign_leg(batching=True, seed=seed,
-                                        rounds=rounds, metrics="on")
+    campaign_metrics = run_campaign_leg(seed=seed, rounds=rounds,
+                                        metrics="on")
     snapshot = campaign_metrics["snapshot"]
     probes_match = (
         snapshot is not None
@@ -136,10 +150,9 @@ def measure(seed: int, rounds: int) -> dict:
         == sorted(route_signature(r)
                   for r in campaign_batched["result"].routes))
 
-    fleet_legacy = run_fleet_leg(batching=False, seed=seed)
-    fleet_batched = run_fleet_leg(batching=True, seed=seed)
-    shard_a = run_fleet_leg(batching=True, seed=seed, vantage_ids=[0, 2])
-    shard_b = run_fleet_leg(batching=True, seed=seed, vantage_ids=[1, 3])
+    fleet_batched = run_fleet_leg(seed=seed)
+    shard_a = run_fleet_leg(seed=seed, vantage_ids=[0, 2])
+    shard_b = run_fleet_leg(seed=seed, vantage_ids=[1, 3])
     merged = FleetResult.merge([shard_a["result"], shard_b["result"]])
     single_signature = fleet_batched["result"].signature()
     sharded_signature = merged.signature()
@@ -164,29 +177,29 @@ def measure(seed: int, rounds: int) -> dict:
 
     simulated = campaign_batched["result"].rounds[-1].finished_at
     return {
-        "schema": 6,
+        "schema": 7,
         "bench": "walk_batching",
         "seed": seed,
         "rounds": rounds,
         "campaign": {
-            "legacy": strip(campaign_legacy),
+            "oracle": strip(campaign_oracle),
             "batched": strip(campaign_batched),
             "instrumented": strip(campaign_metrics),
+            "resolutions": campaign_batched["resolutions"],
             "lookup_ratio": round(
-                campaign_legacy["lookups"] / campaign_batched["lookups"], 2),
+                campaign_batched["resolutions"]
+                / campaign_batched["lookups"], 2),
             "wall_ratio": round(
-                campaign_legacy["wall_s"] / campaign_batched["wall_s"], 2),
+                campaign_oracle["wall_s"] / campaign_batched["wall_s"], 2),
             "simulated_s": round(simulated, 1),
             "routes_match": routes_match,
             "probes_match": probes_match,
         },
         "fleet": {
-            "legacy": strip(fleet_legacy),
             "batched": strip(fleet_batched),
+            "resolutions": fleet_batched["resolutions"],
             "lookup_ratio": round(
-                fleet_legacy["lookups"] / fleet_batched["lookups"], 2),
-            "wall_ratio": round(
-                fleet_legacy["wall_s"] / fleet_batched["wall_s"], 2),
+                fleet_batched["resolutions"] / fleet_batched["lookups"], 2),
             "single_signature": single_signature,
             "sharded_signature": sharded_signature,
             "deterministic": single_signature == sharded_signature,
@@ -263,9 +276,11 @@ def check(record: dict, baseline: dict) -> list[str]:
         if record[leg]["lookup_ratio"] < 2.0:
             problems.append(
                 f"{leg}: aggregation ratio fell below 2x "
-                f"({record[leg]['lookup_ratio']:.2f}x)")
+                f"({record[leg]['lookup_ratio']:.2f}x resolutions per "
+                "lookup)")
     if not record["campaign"]["routes_match"]:
-        problems.append("campaign: modes no longer infer identical routes")
+        problems.append("campaign: the batched plane no longer infers the "
+                        "per-packet oracle's routes")
     if not record["campaign"]["probes_match"]:
         problems.append(
             "campaign: the metrics snapshot no longer agrees with the "
@@ -377,13 +392,16 @@ def main(argv: list[str] | None = None) -> int:
 
     for leg in ("campaign", "fleet"):
         stats = record[leg]
-        print(f"{leg}: lookups {stats['legacy']['lookups']} -> "
+        print(f"{leg}: resolutions {stats['resolutions']} -> lookups "
               f"{stats['batched']['lookups']} "
               f"({stats['lookup_ratio']:.2f}x fewer), wall "
-              f"{stats['legacy']['wall_s']:.2f}s -> "
-              f"{stats['batched']['wall_s']:.2f}s "
-              f"({stats['wall_ratio']:.2f}x), "
+              f"{stats['batched']['wall_s']:.2f}s, "
               f"{stats['batched']['probes_per_sec']:.0f} probes/s")
+    campaign = record["campaign"]
+    print(f"campaign routes vs per-packet oracle: "
+          f"{'ok' if campaign['routes_match'] else 'BROKEN'} (oracle "
+          f"{campaign['oracle']['wall_s']:.2f}s, "
+          f"{campaign['wall_ratio']:.2f}x the batched wall)")
     print(f"campaign metrics cross-check: "
           f"{'ok' if record['campaign']['probes_match'] else 'BROKEN'} "
           f"({record['campaign']['instrumented']['probes_per_sec']:.0f} "
