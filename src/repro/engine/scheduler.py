@@ -215,12 +215,11 @@ class StrategySpec:
 
     ``factory`` receives the lane-start instant and returns the
     strategy; ``meta`` is opaque caller bookkeeping carried through to
-    the :class:`TraceOutcome` spec (the campaign stores the destination
-    there).
+    the :class:`TraceOutcome` spec (the fleet campaign stores the
+    entry's vantage, round, worker and destination there).
     """
 
     factory: Callable[[float], ProbeStrategy]
-    label: str = "strategy"
     meta: object = None
     #: Earliest simulated start instant (see :class:`TraceSpec`).
     not_before: float = 0.0

@@ -19,9 +19,12 @@ Two engines drive the probing (``CampaignConfig.engine``):
 
 - ``"sequential"`` — the paper's regime: each worker has one probe in
   flight, hop after hop, trace after trace;
-- ``"pipelined"`` — the event-driven engine: the workers become lanes
-  on one :class:`repro.engine.scheduler.ProbeScheduler`, each trace
-  keeping a window of probes in flight.
+- ``"pipelined"`` — the event-driven engine: the campaign is a
+  one-vantage :class:`repro.vantage.campaign.FleetCampaign` that
+  re-synchronises its workers each round — the round's lanes share one
+  :class:`repro.engine.scheduler.ProbeScheduler`, each trace keeping a
+  window of probes in flight, and the next round starts when the
+  busiest lane is done.
 
 Per-trace flows (Paris's port pair, classic's PID) are derived from the
 trace's campaign coordinates rather than from a shared stream, so both
@@ -39,17 +42,12 @@ engine drives the campaign.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Iterable, Optional
 
 from repro.core.route import MeasuredRoute
-from repro.engine.asyncsocket import AsyncProbeSocket
-from repro.engine.scheduler import (
-    DEFAULT_WINDOW,
-    ProbeScheduler,
-    StrategySpec,
-    TraceSpec,
-)
+from repro.engine.scheduler import DEFAULT_WINDOW
 from repro.errors import CampaignError
 from repro.net.inet import IPv4Address
 from repro.probing.executor import run_strategy
@@ -66,8 +64,10 @@ from repro.measurement.destinations import split_among_workers
 
 
 @dataclass
-class CampaignConfig:
-    """Campaign parameters; defaults mirror the paper's setup."""
+class TraceCampaignConfig:
+    """What the campaign and the fleet campaign share: rounds, workers,
+    and the paired traces' parameters.  Defaults mirror the paper's
+    setup."""
 
     rounds: int = 1
     workers: int = 32
@@ -82,22 +82,26 @@ class CampaignConfig:
     #: Extra pacing after each trace, seconds (0 = reply-paced only).
     inter_trace_delay: float = 0.0
     seed: int = 0
-    #: Probe engine: "sequential" (stop-and-wait, the paper's setup) or
-    #: "pipelined" (event-driven, a window of probes in flight).
-    engine: str = "sequential"
-    #: In-flight probes per trace under the pipelined engine.
+    #: In-flight probes per trace under the event engine (1
+    #: approximates stop-and-wait pacing).
     window: int = DEFAULT_WINDOW
 
+    #: (field, allowed values) pairs of a subclass's enumerated fields.
+    _choices = ()
+
     def __post_init__(self) -> None:
-        if self.engine not in ("sequential", "pipelined"):
-            raise CampaignError(
-                f"engine must be 'sequential' or 'pipelined', "
-                f"not {self.engine!r}"
-            )
+        for name, allowed in self._choices:
+            value = getattr(self, name)
+            if value not in allowed:
+                raise CampaignError(
+                    f"{name} must be one of {allowed}, not {value!r}")
+        if self.rounds < 1:
+            raise CampaignError(f"need at least one round: {self.rounds}")
+        if self.workers < 1:
+            raise CampaignError(f"need at least one worker: {self.workers}")
         if self.window < 1:
             raise CampaignError(
-                f"window must be at least 1, got {self.window}"
-            )
+                f"window must be at least 1, got {self.window}")
 
     def options(self) -> TracerouteOptions:
         return TracerouteOptions(
@@ -106,6 +110,17 @@ class CampaignConfig:
             probes_per_hop=self.probes_per_hop,
             max_consecutive_stars=self.max_consecutive_stars,
         )
+
+
+@dataclass
+class CampaignConfig(TraceCampaignConfig):
+    """Campaign parameters; defaults mirror the paper's setup."""
+
+    #: Probe engine: "sequential" (stop-and-wait, the paper's setup) or
+    #: "pipelined" (event-driven, a window of probes in flight).
+    engine: str = "sequential"
+
+    _choices = (("engine", ("sequential", "pipelined")),)
 
 
 @dataclass
@@ -204,6 +219,99 @@ def merge_campaign_results(
     return merged
 
 
+def share_offsets(shares: list[list[IPv4Address]]) -> list[int]:
+    """Where each worker's share starts in the flat destination order:
+    a trace's ordinal is the round's base plus this offset plus the
+    trace's position in the share (see :func:`paired_builders`)."""
+    offsets, total = [], 0
+    for share in shares:
+        offsets.append(total)
+        total += len(share)
+    return offsets
+
+
+def paired_builders(paris: ParisTraceroute, classic: ClassicTraceroute,
+                    destination: IPv4Address, ordinal: int):
+    """Builder factories of one paired trace, Paris then classic.
+
+    ``ordinal`` is the trace's engine-independent serial number —
+    ``round * len(destinations)`` plus the trace's flat position in the
+    worker split — so every engine probes a given (round, destination,
+    tool) with the same flow.
+    """
+    return (
+        lambda: paris.make_builder(destination, flow_index=ordinal),
+        lambda: classic.make_builder(destination, ordinal=ordinal),
+    )
+
+
+def census_strategy(kind, paris: ParisTraceroute,
+                    destination: IPv4Address, started_at: float,
+                    alpha: float = 0.05, max_flows_per_hop: int = 64,
+                    max_ttl: int = 30, window: int = DEFAULT_WINDOW,
+                    hop_concurrency: int = 8) -> ProbeStrategy:
+    """One destination's census-round MDA run, as the campaigns' MDA
+    factories build it.
+
+    ``kind`` constructs the strategy: :class:`MdaStrategy`, or
+    :class:`MdaLiteStrategy` with its ``scout_flows`` bound.  Flows are
+    drawn from ``paris`` with deterministic per-flow indices, so every
+    engine probes identical packets and (absent order-sensitive
+    randomness) enumerates identical interface sets.  The defaults are
+    census-scale — 64 flows per hop, a window of 8, 8 hops in parallel
+    — not the strategy's own stop-and-wait ones.
+    """
+    return kind(
+        make_builder=lambda flow_index: paris.make_builder(
+            destination, flow_index=flow_index),
+        destination=destination,
+        alpha=alpha,
+        max_flows_per_hop=max_flows_per_hop,
+        max_ttl=max_ttl,
+        window=window,
+        hop_concurrency=hop_concurrency,
+        started_at=started_at,
+    )
+
+
+def publish_campaign_metrics(network: Network, lookup_baseline: int,
+                             clients: Iterable) -> object:
+    """Count per-destination outcomes; snapshot the registry.
+
+    ``clients`` yields ``(source address, CampaignResult)`` pairs.
+    Every family is created even when nothing lands in it, so every
+    kind of campaign publishes the same set.  Summing every router's LPM
+    counter is too slow for the transit plane's per-batch flush, so
+    the network-wide total since ``lookup_baseline`` is published here,
+    once per run.  Returns the snapshot, or None without a registry.
+    """
+    from repro.obs.registry import SCOPE_PROCESS, active_registry
+
+    registry = active_registry(network)
+    if registry is None:
+        return None
+    registry.gauge(
+        "repro_fib_route_lookups",
+        "Network-wide LPM resolutions since this campaign began.",
+        (), scope=SCOPE_PROCESS).set(
+            network.route_lookups() - lookup_baseline)
+    outcomes = registry.counter(
+        "repro_campaign_traces_total",
+        "Completed traces per client, tool, and halt reason.",
+        ("client", "tool", "halt"))
+    strategies = registry.counter(
+        "repro_campaign_strategy_runs_total",
+        "Extra per-destination strategy runs, per client.",
+        ("client",))
+    for address, result in clients:
+        client = str(address)
+        for route in result.routes:
+            outcomes.labels(client, route.tool, route.halt_reason).inc()
+        if result.strategy_results:
+            strategies.labels(client).inc(len(result.strategy_results))
+    return registry.snapshot()
+
+
 class Campaign:
     """Drive rounds of paired traces over a simulated internet.
 
@@ -249,174 +357,86 @@ class Campaign:
             self._socket, method=self.config.classic_method,
             pid=self.config.classic_pid_base, fixed_pid=False,
             options=options)
-        # Pipelined-engine state: one async socket for the whole
-        # campaign (its counters span rounds) and the halt-TTL memo
-        # that paces later rounds.
-        self._async_socket: AsyncProbeSocket | None = None
-        self._horizon_hints: dict = {}
-        # Flat position of each worker's share start, for trace
-        # ordinals that are identical across engines.
-        self._share_offsets: list[int] = []
+        # The pipelined engine's one-vantage fleet.  Built on the first
+        # run, so a registry installed after construction is seen, and
+        # kept, so its socket counters and halt-TTL memo span runs.
+        self._fleet = None
         self.strategy_factory = strategy_factory
 
-    def mda_strategy_factory(
-        self,
-        alpha: float = 0.05,
-        max_flows_per_hop: int = 64,
-        max_ttl: int = 30,
-        window: int = DEFAULT_WINDOW,
-        hop_concurrency: int = 8,
-    ) -> callable:
+    def mda_strategy_factory(self, **params) -> callable:
         """A ``strategy_factory`` running MDA toward each destination.
 
-        Flows are drawn from the campaign's Paris tool with
-        deterministic per-flow indices, so both engines probe identical
-        packets and (absent order-sensitive randomness) enumerate
-        identical interface sets.
+        Flows come from the campaign's Paris tool; ``params`` and their
+        census defaults are :func:`census_strategy`'s.
         """
+        return lambda *coords: census_strategy(
+            MdaStrategy, self._paris, *coords[-2:], **params)
 
-        def factory(round_index: int, worker: int, position: int,
-                    destination: IPv4Address,
-                    started_at: float) -> ProbeStrategy:
-            return MdaStrategy(
-                make_builder=lambda flow_index: self._paris.make_builder(
-                    destination, flow_index=flow_index),
-                destination=destination,
-                alpha=alpha,
-                max_flows_per_hop=max_flows_per_hop,
-                max_ttl=max_ttl,
-                window=window,
-                hop_concurrency=hop_concurrency,
-                started_at=started_at,
-            )
-
-        return factory
-
-    def mda_lite_strategy_factory(
-        self,
-        alpha: float = 0.05,
-        max_flows_per_hop: int = 64,
-        max_ttl: int = 30,
-        window: int = DEFAULT_WINDOW,
-        hop_concurrency: int = 8,
-        scout_flows: int = 3,
-    ) -> callable:
+    def mda_lite_strategy_factory(self, scout_flows: int = 3,
+                                  **params) -> callable:
         """A ``strategy_factory`` running MDA-Lite toward each destination.
 
-        Same flow derivation as :meth:`mda_strategy_factory`; only the
-        stopping rule (and its census-scale probe budget) differs.
+        Same flows and ``params`` as :meth:`mda_strategy_factory`; only
+        the stopping rule (and its census-scale probe budget) differs.
         """
-
-        def factory(round_index: int, worker: int, position: int,
-                    destination: IPv4Address,
-                    started_at: float) -> ProbeStrategy:
-            return MdaLiteStrategy(
-                make_builder=lambda flow_index: self._paris.make_builder(
-                    destination, flow_index=flow_index),
-                destination=destination,
-                alpha=alpha,
-                max_flows_per_hop=max_flows_per_hop,
-                max_ttl=max_ttl,
-                window=window,
-                hop_concurrency=hop_concurrency,
-                started_at=started_at,
-                scout_flows=scout_flows,
-            )
-
-        return factory
+        lite = partial(MdaLiteStrategy, scout_flows=scout_flows)
+        return lambda *coords: census_strategy(
+            lite, self._paris, *coords[-2:], **params)
 
     def run(self, progress: Optional[callable] = None) -> CampaignResult:
-        """Run all configured rounds; returns the collected routes."""
+        """Run all configured rounds; returns the collected routes.
+
+        ``progress`` receives each round's :class:`RoundRecord` as the
+        round ends, with the clock standing at its ``finished_at``.
+        """
+        if self.config.engine == "pipelined":
+            return self._run_fleet(progress)
         result = CampaignResult(destinations=list(self.destinations))
         shares = split_among_workers(self.destinations, self.config.workers)
-        offsets, total = [], 0
-        for share in shares:
-            offsets.append(total)
-            total += len(share)
-        self._share_offsets = offsets
-        pipelined = self.config.engine == "pipelined"
-        if pipelined and self._async_socket is None:
-            self._async_socket = AsyncProbeSocket(
-                self.network, self.source, timeout=self.config.timeout)
+        offsets = share_offsets(shares)
         for round_index in range(self.config.rounds):
-            if pipelined:
-                record = self._run_round_pipelined(round_index, shares,
-                                                   result)
-            else:
-                record = self._run_round(round_index, shares, result)
+            record = self._run_round(round_index, shares, offsets, result)
             result.rounds.append(record)
             if progress is not None:
                 progress(record)
-        if pipelined:
-            result.probes_sent = self._async_socket.probes_sent
-            result.responses_received = self._async_socket.responses_received
-        else:
-            result.probes_sent = self._socket.probes_sent
-            result.responses_received = self._socket.responses_received
-        self._attach_metrics(result)
+        result.probes_sent = self._socket.probes_sent
+        result.responses_received = self._socket.responses_received
+        result.metrics = publish_campaign_metrics(
+            self.network, self._lookup_baseline,
+            [(self.source.address, result)])
         return result
 
-    def _attach_metrics(self, result: CampaignResult) -> None:
-        """Count per-destination outcomes; snapshot the registry."""
-        from repro.obs.registry import SCOPE_PROCESS, active_registry
+    def _run_fleet(self, progress: Optional[callable]) -> CampaignResult:
+        """The pipelined engine: a one-vantage fleet whose lanes
+        re-synchronise each round (its private round-barrier shape)."""
+        from repro.vantage.campaign import FleetCampaign, FleetConfig
 
-        registry = active_registry(self.network)
-        if registry is None:
-            return
-        # Summing every router's LPM counter is too slow for the
-        # transit plane's per-batch flush, so the network-wide total
-        # is published here, once per campaign run.
-        registry.gauge(
-            "repro_fib_route_lookups",
-            "Network-wide LPM resolutions since this campaign began.",
-            (), scope=SCOPE_PROCESS).set(
-                self.network.route_lookups() - self._lookup_baseline)
-        client = str(self.source.address)
-        outcomes = registry.counter(
-            "repro_campaign_traces_total",
-            "Completed traces per client, tool, and halt reason.",
-            ("client", "tool", "halt"))
-        for route in result.routes:
-            outcomes.labels(client, route.tool, route.halt_reason).inc()
-        if result.strategy_results:
-            registry.counter(
-                "repro_campaign_strategy_runs_total",
-                "Extra per-destination strategy runs, per client.",
-                ("client",)).labels(client).inc(
-                    len(result.strategy_results))
-        result.metrics = registry.snapshot()
-
-    def _trace_ordinal(self, round_index: int, worker: int,
-                       position: int) -> int:
-        """The engine-independent serial number of one paired trace."""
-        return (round_index * len(self.destinations)
-                + self._share_offsets[worker] + position)
-
-    def _builders_for(self, round_index: int, worker: int, position: int,
-                      destination: IPv4Address):
-        """Deterministic per-trace builders shared by both engines."""
-        ordinal = self._trace_ordinal(round_index, worker, position)
-        return (
-            lambda: self._paris.make_builder(destination,
-                                             flow_index=ordinal),
-            lambda: self._classic.make_builder(destination,
-                                               ordinal=ordinal),
-        )
-
-    def _bound_strategy(self, round_index: int, worker: int, position: int,
-                        destination: IPv4Address) -> callable:
-        """Close the user factory over one trace's campaign coordinates."""
-
-        def factory(started_at: float) -> ProbeStrategy:
-            return self.strategy_factory(round_index, worker, position,
-                                         destination, started_at)
-
-        return factory
+        if self._fleet is None:
+            shared = {item.name: getattr(self.config, item.name)
+                      for item in fields(TraceCampaignConfig)}
+            self._fleet = FleetCampaign(
+                self.network, [self.source], self.destinations,
+                FleetConfig(**shared))
+            # Fence lookups from this campaign's construction on, not
+            # from its first run.
+            self._fleet._lookup_baseline = self._lookup_baseline
+        # Read at run time: callers may assign the factory after
+        # construction.  The fleet passes the vantage first.
+        factory = self.strategy_factory
+        self._fleet.strategy_factory = (
+            None if factory is None
+            else lambda vantage, *coords: factory(*coords))
+        self._fleet._on_round = progress or (lambda record: None)
+        fleet_result = self._fleet.run()
+        result = fleet_result.vantages[0].result
+        result.metrics = fleet_result.metrics
+        return result
 
     def _run_round(
         self,
         round_index: int,
         shares: list[list[IPv4Address]],
+        offsets: list[int],
         result: CampaignResult,
     ) -> RoundRecord:
         clock = self.network.clock
@@ -434,8 +454,10 @@ class Campaign:
             free_at, worker, position = heapq.heappop(heap)
             destination = shares[worker][position]
             clock.seek(free_at)
-            builders = self._builders_for(round_index, worker, position,
-                                          destination)
+            ordinal = (round_index * len(self.destinations)
+                       + offsets[worker] + position)
+            builders = paired_builders(self._paris, self._classic,
+                                       destination, ordinal)
             for tracer, make_builder in zip((self._paris, self._classic),
                                             builders):
                 trace = tracer.trace(destination, builder=make_builder())
@@ -457,64 +479,6 @@ class Campaign:
             round_end = max(round_end, clock.now)
             if position + 1 < len(shares[worker]):
                 heapq.heappush(heap, (clock.now, worker, position + 1))
-        clock.seek(round_end)
-        return RoundRecord(index=round_index, started_at=round_start,
-                           finished_at=round_end, traces=traces)
-
-    def _run_round_pipelined(
-        self,
-        round_index: int,
-        shares: list[list[IPv4Address]],
-        result: CampaignResult,
-    ) -> RoundRecord:
-        """One round with every worker a lane on the event scheduler."""
-        clock = self.network.clock
-        round_start = clock.now
-        scheduler = ProbeScheduler(
-            self.network,
-            self.source,
-            window=self.config.window,
-            socket=self._async_socket,
-            horizon_hints=self._horizon_hints,
-        )
-        for worker, share in enumerate(shares):
-            if not share:
-                continue
-            specs: list = []
-            for position, destination in enumerate(share):
-                paris_builder, classic_builder = self._builders_for(
-                    round_index, worker, position, destination)
-                specs.append(TraceSpec(self._paris, destination,
-                                       paris_builder))
-                specs.append(TraceSpec(self._classic, destination,
-                                       classic_builder))
-                if self.strategy_factory is not None:
-                    specs.append(StrategySpec(
-                        factory=self._bound_strategy(round_index, worker,
-                                                     position, destination),
-                        label="campaign-strategy",
-                        meta=destination,
-                    ))
-            scheduler.add_lane(
-                specs, inter_trace_delay=self.config.inter_trace_delay)
-        outcomes = scheduler.run()
-        traces = 0
-        for outcome in outcomes:
-            if isinstance(outcome.spec, TraceSpec):
-                result.routes.append(MeasuredRoute.from_result(
-                    outcome.result, round_index=round_index))
-                traces += 1
-            else:
-                result.strategy_results.append(StrategyOutcome(
-                    round_index=round_index, worker=outcome.lane,
-                    destination=outcome.spec.meta, result=outcome.result))
-        round_end = max((getattr(o.result, "finished_at", round_start)
-                         for o in outcomes), default=round_start)
-        if self.strategy_factory is not None:
-            # Strategy results need not carry timestamps; the scheduler
-            # clock, which stopped at the last resolution, bounds them —
-            # without this the seek below could rewind over their probes.
-            round_end = max(round_end, clock.now)
         clock.seek(round_end)
         return RoundRecord(index=round_index, started_at=round_start,
                            finished_at=round_end, traces=traces)

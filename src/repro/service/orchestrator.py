@@ -1,10 +1,12 @@
 """Recurring-campaign orchestration on one simulated clock.
 
 The monitor's executor is a :class:`repro.vantage.campaign.FleetCampaign`
-subclass whose lanes are *calendars* instead of round barriers: each
-vantage worker's lane holds every scheduled probe of its target share,
-ordered by scheduled instant, with the instant stamped on the spec as
-:attr:`repro.engine.scheduler.TraceSpec.not_before`.  One
+subclass that overrides only the lane entries: its lanes are
+*calendars* instead of uniform rounds.  Each vantage worker's lane
+holds every scheduled probe of its target share, ordered by scheduled
+instant, with the instant stamped on the spec as
+:attr:`repro.engine.scheduler.TraceSpec.not_before`; the fleet's own
+``run`` builds the lanes and drives them.  One
 :class:`repro.engine.scheduler.ProbeScheduler` drives every round of
 every target — lanes are set up once and reused across rounds, and a
 lane reaching a future round early simply parks on its own wake-up
@@ -32,8 +34,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.fault_sensitivity import ground_truth_from_topology
-from repro.engine.scheduler import ProbeScheduler, TraceSpec
-from repro.measurement.destinations import split_among_workers
 from repro.service.config import MonitorConfig
 from repro.service.detect import (
     OnsetDetector,
@@ -55,10 +55,10 @@ class _MonitorCampaign(FleetCampaign):
     """A fleet campaign driven by per-target calendars.
 
     Reuses all the fleet plumbing — per-vantage sockets/tools/policies,
-    deterministic trace ordinals, result assembly — and replaces only
-    lane construction: instead of ``rounds`` uniform passes, each
-    worker's lane is its share's schedule flattened to (instant,
-    position) order with ``not_before`` pacing.
+    deterministic trace ordinals, lane building, result assembly — and
+    overrides only the lane entries: instead of ``rounds`` uniform
+    passes, each worker's lane is its share's schedule flattened to
+    (instant, position) order with ``not_before`` pacing.
     """
 
     def __init__(self, *args, monitor: MonitorConfig, **kwargs):
@@ -66,52 +66,15 @@ class _MonitorCampaign(FleetCampaign):
         self._plans = {plan.destination: plan for plan
                        in build_schedule(self.destinations, monitor)}
 
-    def run(self) -> FleetResult:
-        """Run every owned vantage's calendar; per-vantage results."""
-        cfg = self.config
-        scheduler = ProbeScheduler(
-            self.network,
-            self._fleet.sources[0],
-            window=cfg.window,
-            socket=self._fleet.sockets[0],
-        )
-        for slot, v in enumerate(self.vantage_ids):
-            socket = self._fleet.sockets[slot]
-            shares = split_among_workers(self._assigned[v], cfg.workers)
-            self._offsets_for(v, shares)
-            for worker, share in enumerate(shares):
-                if not share:
-                    continue
-                # The worker's calendar: every scheduled probe of every
-                # owned target, ordered by (instant, position) — ties
-                # resolve by share position, identically in every mode.
-                entries = sorted(
-                    (plan_time, position, round_index, destination)
-                    for position, destination in enumerate(share)
-                    for round_index, plan_time
-                    in enumerate(self._plans[destination].times)
-                )
-                specs: list = []
-                for plan_time, position, round_index, destination in entries:
-                    paris_builder, classic_builder = self._builders_for(
-                        v, round_index, worker, position, destination)
-                    specs.append(TraceSpec(
-                        self._paris[v], destination, paris_builder,
-                        meta=(v, round_index), not_before=plan_time))
-                    specs.append(TraceSpec(
-                        self._classic[v], destination, classic_builder,
-                        meta=(v, round_index), not_before=plan_time))
-                scheduler.add_lane(
-                    specs,
-                    inter_trace_delay=cfg.inter_trace_delay,
-                    socket=socket,
-                    timeout_policy=self._policies[v],
-                    horizon_hints=self._hints[v],
-                )
-        outcomes = scheduler.run()
-        result = self._assemble(outcomes)
-        self._attach_observability(result)
-        return result
+    def _lane_entries(self, share):
+        """The worker's calendar: every scheduled probe of every owned
+        target, ordered by (instant, position) — ties resolve by share
+        position, identically in every mode."""
+        entries = [(round_index, position, destination, plan_time)
+                   for position, destination in enumerate(share)
+                   for round_index, plan_time
+                   in enumerate(self._plans[destination].times)]
+        return sorted(entries, key=lambda entry: (entry[3], entry[1]))
 
 
 @dataclass

@@ -103,7 +103,7 @@ class MultipathDetector:
         self.scout_flows = scout_flows
         self.disambiguation = disambiguation
         self._paris = ParisTraceroute(socket, method=method, seed=seed)
-        self._async_socket = None
+        self._event_socket = None
 
     # -- strategy plumbing ----------------------------------------------
     def _flow_builders(self, destination: IPv4Address):
@@ -123,22 +123,21 @@ class MultipathDetector:
             from repro.engine.asyncsocket import AsyncProbeSocket
             from repro.engine.scheduler import ProbeScheduler, StrategySpec
 
-            if self._async_socket is None:
-                self._async_socket = AsyncProbeSocket(
+            if self._event_socket is None:
+                self._event_socket = AsyncProbeSocket(
                     self.socket.network, self.socket.host,
                     timeout=self.socket.timeout)
-            sent_before = self._async_socket.probes_sent
-            received_before = self._async_socket.responses_received
+            sent_before = self._event_socket.probes_sent
+            received_before = self._event_socket.responses_received
             scheduler = ProbeScheduler(self.socket.network, self.socket.host,
-                                       socket=self._async_socket,
+                                       socket=self._event_socket,
                                        timeout=self.socket.timeout)
-            scheduler.add_lane([StrategySpec(lambda __: strategy,
-                                             label="mda")])
+            scheduler.add_lane([StrategySpec(lambda __: strategy)])
             result = scheduler.run()[0].result
             self.socket.probes_sent += (
-                self._async_socket.probes_sent - sent_before)
+                self._event_socket.probes_sent - sent_before)
             self.socket.responses_received += (
-                self._async_socket.responses_received - received_before)
+                self._event_socket.responses_received - received_before)
             return result
         return run_strategy(self.socket, strategy)
 

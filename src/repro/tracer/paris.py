@@ -252,9 +252,8 @@ class ParisTraceroute(Traceroute):
             from repro.engine.scheduler import StrategySpec
 
             same, varied = self._run_pipelined([
-                [StrategySpec(lambda __, s=same_fan: s, label="same-flow")],
-                [StrategySpec(lambda __, s=varied_fan: s,
-                              label="varied-flow")],
+                [StrategySpec(lambda __, s=same_fan: s)],
+                [StrategySpec(lambda __, s=varied_fan: s)],
             ])
         else:
             same = run_strategy(self.socket, same_fan)

@@ -8,19 +8,26 @@ vantage contributes ``workers`` lanes to a single
 Sec. 3 paired-trace protocol (Paris first, classic second, identical
 timing) — plus any extra :class:`repro.probing.ProbeStrategy` the
 caller's factory supplies — against the vantage's share of the
-destination list, round after round.
+destination list, round after round.  :meth:`FleetCampaign.run` is
+the one place lanes are built: a private hook yields each worker's
+lane as (round, position, destination, not_before) entries, and the
+monitor service overrides only that hook, with its calendar.
 
 **Timeline semantics.**  Lanes cycle continuously: a worker starts its
 round ``r + 1`` the moment it finishes round ``r`` (the regime of the
 paper's 32 always-busy processes), so there is *no cross-vantage
-barrier anywhere* — each vantage's timeline is a pure function of the
-topology, its own lane contents, and the shared clock's origin.  On
-topologies without order-sensitive randomness (no per-packet
-balancers, no loss), that independence is exact, which is what makes
-sharded execution (:mod:`repro.vantage.sharding`) reproduce the
-single-process result byte for byte: a shard replays exactly the lanes
-its vantages would have run, on a seeded topology replica, and the
-merge is pure concatenation in canonical vantage order.
+barrier* — each vantage's timeline is a pure function of the topology,
+its own lane contents, and the shared clock's origin.  On topologies
+without order-sensitive randomness (no per-packet balancers, no loss),
+that independence is exact, which is what makes sharded execution
+(:mod:`repro.vantage.sharding`) reproduce the single-process result
+byte for byte: a shard replays exactly the lanes its vantages would
+have run, on a seeded topology replica, and the merge is pure
+concatenation in canonical vantage order.  The one barrier is private
+to the one-vantage delegate of
+:class:`repro.measurement.campaign.Campaign`, whose rounds start
+together when the previous round's last lane is done; with a single
+vantage there is no other timeline to couple.
 
 Per-vantage isolation inside the shared scheduler:
 
@@ -43,11 +50,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.route import MeasuredRoute
 from repro.engine.scheduler import (
-    DEFAULT_WINDOW,
     AdaptiveTimeout,
     FixedTimeout,
     ProbeScheduler,
@@ -59,7 +66,12 @@ from repro.measurement.campaign import (
     CampaignResult,
     RoundRecord,
     StrategyOutcome,
+    TraceCampaignConfig,
+    census_strategy,
     merge_campaign_results,
+    paired_builders,
+    publish_campaign_metrics,
+    share_offsets,
 )
 from repro.measurement.destinations import split_among_workers
 from repro.measurement.storage import (
@@ -69,10 +81,8 @@ from repro.measurement.storage import (
 from repro.net.inet import IPv4Address
 from repro.probing.mda import MdaStrategy
 from repro.probing.mdalite import MdaLiteStrategy
-from repro.probing.strategy import ProbeStrategy
 from repro.sim.endhost import MeasurementHost
 from repro.sim.network import Network
-from repro.tracer.base import TracerouteOptions
 from repro.tracer.classic import ClassicTraceroute
 from repro.tracer.paris import ParisTraceroute
 from repro.vantage.fleet import VantageFleet
@@ -87,26 +97,15 @@ TIMEOUT_POLICIES = ("fixed", "adaptive")
 
 
 @dataclass
-class FleetConfig:
-    """Fleet campaign parameters; trace defaults mirror the paper's."""
+class FleetConfig(TraceCampaignConfig):
+    """Fleet campaign parameters; trace defaults mirror the paper's.
 
-    rounds: int = 1
+    The fleet always runs the event engine, so ``window`` always
+    applies.
+    """
+
     #: Worker lanes *per vantage*.
     workers: int = 8
-    timeout: float = 2.0
-    min_ttl: int = 2
-    max_ttl: int = 39
-    max_consecutive_stars: int = 8
-    probes_per_hop: int = 1
-    paris_method: str = "udp"
-    classic_method: str = "udp"
-    classic_pid_base: int = 4242
-    #: Extra pacing after each trace, seconds (0 = reply-paced only).
-    inter_trace_delay: float = 0.0
-    seed: int = 0
-    #: In-flight probes per trace (the fleet always runs the event
-    #: engine; 1 approximates stop-and-wait pacing).
-    window: int = DEFAULT_WINDOW
     #: "replicate" (every vantage probes every destination) or "shard"
     #: (the list is split across vantages, ``split_among_workers``-style).
     assignment: str = "replicate"
@@ -116,30 +115,8 @@ class FleetConfig:
     #: Adaptive policy floor, seconds (its ceiling is ``timeout``).
     adaptive_floor: float = 0.1
 
-    def __post_init__(self) -> None:
-        if self.assignment not in ASSIGNMENTS:
-            raise CampaignError(
-                f"assignment must be one of {ASSIGNMENTS}, "
-                f"not {self.assignment!r}")
-        if self.timeout_policy not in TIMEOUT_POLICIES:
-            raise CampaignError(
-                f"timeout_policy must be one of {TIMEOUT_POLICIES}, "
-                f"not {self.timeout_policy!r}")
-        if self.rounds < 1:
-            raise CampaignError(f"need at least one round: {self.rounds}")
-        if self.workers < 1:
-            raise CampaignError(f"need at least one worker: {self.workers}")
-        if self.window < 1:
-            raise CampaignError(
-                f"window must be at least 1, got {self.window}")
-
-    def options(self) -> TracerouteOptions:
-        return TracerouteOptions(
-            min_ttl=self.min_ttl,
-            max_ttl=self.max_ttl,
-            probes_per_hop=self.probes_per_hop,
-            max_consecutive_stars=self.max_consecutive_stars,
-        )
+    _choices = (("assignment", ASSIGNMENTS),
+                ("timeout_policy", TIMEOUT_POLICIES))
 
     def make_timeout_policy(self):
         """A fresh per-vantage timeout policy instance."""
@@ -375,212 +352,170 @@ class FleetCampaign:
                 options=options)
             self._policies[v] = self.config.make_timeout_policy()
             self._hints[v] = {}
+        # The private round-barrier shape.  None keeps the lanes
+        # continuous; a callable makes :meth:`run` re-synchronise them
+        # at each round and receives each round's RoundRecord as the
+        # round ends.  Only the one-vantage delegate of
+        # :class:`repro.measurement.campaign.Campaign` sets it.
+        self._on_round: Optional[Callable] = None
 
     # ------------------------------------------------------------------
-    # deterministic per-trace state
+    # the lane planner
     # ------------------------------------------------------------------
-    def _offsets_for(self, vantage: int,
-                     shares: list[list[IPv4Address]]) -> list[int]:
-        offsets, total = [], 0
-        for share in shares:
-            offsets.append(total)
-            total += len(share)
-        self._share_offsets[vantage] = offsets
-        return offsets
+    def _lane_entries(self, share: list[IPv4Address]) -> list[tuple]:
+        """One worker's lane as (round, position, destination,
+        not_before) entries, in lane order.
 
-    def _trace_ordinal(self, vantage: int, round_index: int, worker: int,
-                       position: int) -> int:
-        """Engine-independent serial number of one paired trace.
-
-        Identical to the single-vantage campaign's ordinal over the
-        vantage's own destination list, so two vantages replicating the
-        list probe a given (round, destination) with the same flow.
+        The fleet's shape is continuous: the share's rounds back to
+        back, each trace starting as soon as its lane is free.  The
+        monitor overrides this hook with its calendar.
         """
-        return (round_index * len(self._assigned[vantage])
-                + self._share_offsets[vantage][worker] + position)
+        return [(round_index, position, destination, 0.0)
+                for round_index in range(self.config.rounds)
+                for position, destination in enumerate(share)]
 
-    def _builders_for(self, vantage: int, round_index: int, worker: int,
-                      position: int, destination: IPv4Address):
-        ordinal = self._trace_ordinal(vantage, round_index, worker,
-                                      position)
+    def _entry_specs(self, vantage: int, worker: int, round_index: int,
+                     position: int, destination: IPv4Address,
+                     not_before: float) -> list:
+        """One lane entry's specs: the paired traces, then the extra
+        strategy when a factory is set.
+
+        The trace ordinal runs over the vantage's own destination list,
+        exactly as the single-vantage campaign's does, so two vantages
+        replicating the list probe a given (round, destination) with the
+        same flow.
+        """
+        ordinal = (round_index * len(self._assigned[vantage])
+                   + self._share_offsets[vantage][worker] + position)
         paris, classic = self._paris[vantage], self._classic[vantage]
-        return (
-            lambda: paris.make_builder(destination, flow_index=ordinal),
-            lambda: classic.make_builder(destination, ordinal=ordinal),
-        )
+        builders = paired_builders(paris, classic, destination, ordinal)
+        specs: list = [
+            TraceSpec(tracer, destination, builder,
+                      meta=(vantage, round_index), not_before=not_before)
+            for tracer, builder in zip((paris, classic), builders)
+        ]
+        if self.strategy_factory is not None:
+            specs.append(StrategySpec(
+                factory=lambda started_at: self.strategy_factory(
+                    vantage, round_index, worker, position, destination,
+                    started_at),
+                meta=(vantage, round_index, worker, destination),
+                not_before=not_before,
+            ))
+        return specs
 
-    def _bound_strategy(self, vantage: int, round_index: int, worker: int,
-                        position: int,
-                        destination: IPv4Address) -> Callable:
-        def factory(started_at: float) -> ProbeStrategy:
-            return self.strategy_factory(vantage, round_index, worker,
-                                         position, destination, started_at)
-
-        return factory
-
-    def mda_strategy_factory(
-        self,
-        alpha: float = 0.05,
-        max_flows_per_hop: int = 64,
-        max_ttl: int = 30,
-        window: int = DEFAULT_WINDOW,
-        hop_concurrency: int = 8,
-    ) -> Callable:
+    def mda_strategy_factory(self, **params) -> Callable:
         """A ``strategy_factory`` running MDA from each vantage.
 
         Flows come from the vantage's own Paris tool, so the probes
         carry that vantage's source address and deterministic per-flow
-        five-tuples.
+        five-tuples; ``params`` and their census defaults are
+        :func:`repro.measurement.campaign.census_strategy`'s.
         """
+        return lambda vantage, *coords: census_strategy(
+            MdaStrategy, self._paris[vantage], *coords[-2:], **params)
 
-        def factory(vantage: int, round_index: int, worker: int,
-                    position: int, destination: IPv4Address,
-                    started_at: float) -> ProbeStrategy:
-            paris = self._paris[vantage]
-            return MdaStrategy(
-                make_builder=lambda flow_index: paris.make_builder(
-                    destination, flow_index=flow_index),
-                destination=destination,
-                alpha=alpha,
-                max_flows_per_hop=max_flows_per_hop,
-                max_ttl=max_ttl,
-                window=window,
-                hop_concurrency=hop_concurrency,
-                started_at=started_at,
-            )
-
-        return factory
-
-    def mda_lite_strategy_factory(
-        self,
-        alpha: float = 0.05,
-        max_flows_per_hop: int = 64,
-        max_ttl: int = 30,
-        window: int = DEFAULT_WINDOW,
-        hop_concurrency: int = 8,
-        scout_flows: int = 3,
-    ) -> Callable:
+    def mda_lite_strategy_factory(self, scout_flows: int = 3,
+                                  **params) -> Callable:
         """A ``strategy_factory`` running MDA-Lite from each vantage.
 
-        Same per-vantage flow derivation as :meth:`mda_strategy_factory`;
-        only the stopping rule (and its census budget) differs.
+        Same flows and ``params`` as :meth:`mda_strategy_factory`; only
+        the stopping rule (and its census budget) differs.
         """
-
-        def factory(vantage: int, round_index: int, worker: int,
-                    position: int, destination: IPv4Address,
-                    started_at: float) -> ProbeStrategy:
-            paris = self._paris[vantage]
-            return MdaLiteStrategy(
-                make_builder=lambda flow_index: paris.make_builder(
-                    destination, flow_index=flow_index),
-                destination=destination,
-                alpha=alpha,
-                max_flows_per_hop=max_flows_per_hop,
-                max_ttl=max_ttl,
-                window=window,
-                hop_concurrency=hop_concurrency,
-                started_at=started_at,
-                scout_flows=scout_flows,
-            )
-
-        return factory
+        lite = partial(MdaLiteStrategy, scout_flows=scout_flows)
+        return lambda vantage, *coords: census_strategy(
+            lite, self._paris[vantage], *coords[-2:], **params)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self) -> FleetResult:
-        """Run every owned vantage's rounds; returns per-vantage results."""
+        """Run every owned vantage's lanes; returns per-vantage results.
+
+        Continuous lanes all run on one scheduler.  The round-barrier
+        shape runs one scheduler per round over the same sockets,
+        timeout policies and halt-TTL memos: a round starts at the
+        clock's instant and ends at its last resolution, where the
+        clock is set before ``_on_round`` receives the round's record.
+        """
         cfg = self.config
-        scheduler = ProbeScheduler(
-            self.network,
-            self._fleet.sources[0],
-            window=cfg.window,
-            socket=self._fleet.sockets[0],
-        )
+        lanes = []
         for slot, v in enumerate(self.vantage_ids):
-            socket = self._fleet.sockets[slot]
             shares = split_among_workers(self._assigned[v], cfg.workers)
-            self._offsets_for(v, shares)
-            for worker, share in enumerate(shares):
-                if not share:
-                    continue
+            self._share_offsets[v] = share_offsets(shares)
+            lanes.extend((slot, v, worker, self._lane_entries(share))
+                         for worker, share in enumerate(shares) if share)
+        barrier = self._on_round is not None
+        outcomes, records = [], []
+        for round_index in range(cfg.rounds) if barrier else [None]:
+            started_at = self.network.clock.now
+            scheduler = ProbeScheduler(
+                self.network,
+                self._fleet.sources[0],
+                window=cfg.window,
+                socket=self._fleet.sockets[0],
+            )
+            for slot, v, worker, entries in lanes:
                 specs: list = []
-                for round_index in range(cfg.rounds):
-                    for position, destination in enumerate(share):
-                        paris_builder, classic_builder = self._builders_for(
-                            v, round_index, worker, position, destination)
-                        specs.append(TraceSpec(
-                            self._paris[v], destination, paris_builder,
-                            meta=(v, round_index)))
-                        specs.append(TraceSpec(
-                            self._classic[v], destination, classic_builder,
-                            meta=(v, round_index)))
-                        if self.strategy_factory is not None:
-                            specs.append(StrategySpec(
-                                factory=self._bound_strategy(
-                                    v, round_index, worker, position,
-                                    destination),
-                                label="fleet-strategy",
-                                meta=(v, round_index, worker, destination),
-                            ))
+                for entry in entries:
+                    if round_index is None or entry[0] == round_index:
+                        specs.extend(self._entry_specs(v, worker, *entry))
                 scheduler.add_lane(
                     specs,
                     inter_trace_delay=cfg.inter_trace_delay,
-                    socket=socket,
+                    socket=self._fleet.sockets[slot],
                     timeout_policy=self._policies[v],
                     horizon_hints=self._hints[v],
                 )
-        outcomes = scheduler.run()
-        result = self._assemble(outcomes)
+            ran = scheduler.run()
+            outcomes.extend(ran)
+            if barrier:
+                records.append(self._close_round(round_index, started_at,
+                                                 ran))
+                self._on_round(records[-1])
+        result = self._assemble(outcomes, records if barrier else None)
         self._attach_observability(result)
         return result
 
+    def _close_round(self, round_index: int, started_at: float,
+                     outcomes) -> RoundRecord:
+        """A barrier round's record; seeks the clock to its end."""
+        clock = self.network.clock
+        finished_at = max((getattr(o.result, "finished_at", started_at)
+                           for o in outcomes), default=started_at)
+        if self.strategy_factory is not None:
+            # Strategy results need not carry timestamps; the scheduler
+            # clock, which stopped at the last resolution, bounds them —
+            # without this the seek below could rewind over their probes.
+            finished_at = max(finished_at, clock.now)
+        clock.seek(finished_at)
+        return RoundRecord(
+            index=round_index, started_at=started_at,
+            finished_at=finished_at,
+            traces=sum(isinstance(o.spec, TraceSpec) for o in outcomes))
+
     def _attach_observability(self, result: FleetResult) -> None:
-        """Count per-destination outcomes; attach snapshot and spans."""
-        from repro.obs.registry import SCOPE_PROCESS, active_registry
+        """Publish the campaign metrics; attach snapshot and spans."""
         from repro.obs.tracing import ProbeTracer
 
-        registry = active_registry(self.network)
-        if registry is not None:
-            # Published once per run (summing every router per transit
-            # batch is too slow for the hot flush path).
-            registry.gauge(
-                "repro_fib_route_lookups",
-                "Network-wide LPM resolutions since this campaign "
-                "began.",
-                (), scope=SCOPE_PROCESS).set(
-                    self.network.route_lookups() - self._lookup_baseline)
-            outcomes = registry.counter(
-                "repro_campaign_traces_total",
-                "Completed traces per client, tool, and halt reason.",
-                ("client", "tool", "halt"))
-            strategies = registry.counter(
-                "repro_campaign_strategy_runs_total",
-                "Extra per-destination strategy runs, per client.",
-                ("client",))
-            for vantage in result.vantages:
-                client = str(vantage.address)
-                for route in vantage.result.routes:
-                    outcomes.labels(client, route.tool,
-                                    route.halt_reason).inc()
-                if vantage.result.strategy_results:
-                    strategies.labels(client).inc(
-                        len(vantage.result.strategy_results))
-            result.metrics = registry.snapshot()
+        result.metrics = publish_campaign_metrics(
+            self.network, self._lookup_baseline,
+            [(v.address, v.result) for v in result.vantages])
         tracer = getattr(self.network, "tracer", None)
         if tracer is not None:
             spans = tracer.records()
             spans.sort(key=ProbeTracer.sort_key)
             result.spans = spans
 
-    def _assemble(self, outcomes) -> FleetResult:
+    def _assemble(self, outcomes, records) -> FleetResult:
         per_vantage: dict[int, CampaignResult] = {
             v: CampaignResult(destinations=list(self._assigned[v]))
             for v in self.vantage_ids
         }
         # Outcomes arrive sorted by (lane, entry) — vantage-major, then
-        # worker, then each worker's chronological order: the canonical
-        # route order every execution mode reproduces.
+        # worker, then each worker's chronological order (round-major
+        # first in the barrier shape): the canonical route order every
+        # execution mode reproduces.
         for outcome in outcomes:
             spec = outcome.spec
             if isinstance(spec, TraceSpec):
@@ -595,7 +530,9 @@ class FleetCampaign:
         result = FleetResult(destinations=list(self.destinations))
         for slot, v in enumerate(self.vantage_ids):
             campaign_result = per_vantage[v]
-            campaign_result.rounds = self._round_records(campaign_result)
+            campaign_result.rounds = (
+                list(records) if records is not None
+                else self._round_records(campaign_result))
             socket = self._fleet.sockets[slot]
             campaign_result.probes_sent = socket.probes_sent
             campaign_result.responses_received = socket.responses_received

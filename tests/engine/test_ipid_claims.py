@@ -46,7 +46,7 @@ def run_pipelined(net, source, strategy, timeout=None):
     kwargs = {} if timeout is None else {"timeout": timeout}
     async_socket = AsyncProbeSocket(net, source, **kwargs)
     scheduler = ProbeScheduler(net, source, socket=async_socket, **kwargs)
-    scheduler.add_lane([StrategySpec(lambda __: strategy, label="test")])
+    scheduler.add_lane([StrategySpec(lambda __: strategy)])
     return scheduler.run()[0].result
 
 
@@ -262,10 +262,10 @@ class TestCrossVantageCollisions:
         ids_a, ids_b = tap_ip_ids(strategy_a), tap_ip_ids(strategy_b)
 
         scheduler = ProbeScheduler(network, sa, socket=sock_a)
-        scheduler.add_lane([StrategySpec(lambda __: strategy_a,
-                                         label="sa")], socket=sock_a)
-        scheduler.add_lane([StrategySpec(lambda __: strategy_b,
-                                         label="sb")], socket=sock_b)
+        scheduler.add_lane([StrategySpec(lambda __: strategy_a)],
+                           socket=sock_a)
+        scheduler.add_lane([StrategySpec(lambda __: strategy_b)],
+                           socket=sock_b)
         outcomes = scheduler.run()
         got_a, got_b = outcomes[0].result, outcomes[1].result
 

@@ -133,12 +133,18 @@ class TestCampaign:
 
     def test_progress_callback(self):
         topo = tiny_internet()
-        seen = []
+        seen, clocks = [], []
+
+        def progress(record):
+            seen.append(record)
+            clocks.append(topo.network.clock.now)
+
         Campaign(topo.network, topo.source,
                  topo.destination_addresses[:2],
-                 CampaignConfig(rounds=2, seed=1)).run(
-            progress=seen.append)
+                 CampaignConfig(rounds=2, seed=1)).run(progress=progress)
         assert [r.index for r in seen] == [0, 1]
+        # Each round is reported as it ends, not after the whole run.
+        assert clocks == [r.finished_at for r in seen]
 
 
 class TestStorage:

@@ -99,11 +99,23 @@ class TestConfigValidation:
         with pytest.raises(CampaignError):
             CampaignConfig(engine="pipelined", window=0)
 
+    @pytest.mark.parametrize("name", ["rounds", "workers"])
+    def test_nonpositive_count_rejected(self, name):
+        with pytest.raises(CampaignError):
+            CampaignConfig(**{name: 0})
+
     def test_progress_callback_fires_per_round(self):
         topo = deterministic_internet()
         dests = topo.destination_addresses[:2]
-        seen = []
+        seen, clocks = [], []
+
+        def progress(record):
+            seen.append(record)
+            clocks.append(topo.network.clock.now)
+
         Campaign(topo.network, topo.source, dests,
                  CampaignConfig(rounds=2, seed=1, engine="pipelined")).run(
-            progress=seen.append)
+            progress=progress)
         assert [r.index for r in seen] == [0, 1]
+        # Each round is reported as it ends, not after the whole run.
+        assert clocks == [r.finished_at for r in seen]

@@ -5,6 +5,8 @@ import pytest
 from repro.errors import CampaignError
 from repro.measurement import Campaign, CampaignConfig
 from repro.measurement.destinations import select_pingable_destinations
+from repro.measurement.storage import route_to_dict
+from repro.obs.registry import MetricsRegistry
 from repro.topology import InternetConfig, generate_internet
 from repro.vantage import FleetCampaign, FleetConfig
 
@@ -97,30 +99,52 @@ class TestFleetCampaignShape:
 
 
 class TestSingleVantageEquivalence:
-    def test_one_vantage_fleet_matches_pipelined_campaign(self):
-        """A 1-vantage fleet infers the same routes as the campaign.
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_one_vantage_fleet_matches_pipelined_campaign(self, rounds):
+        """The pipelined campaign is a one-vantage fleet.
 
-        Timestamps differ (the fleet cycles rounds continuously, the
-        campaign re-synchronises workers per round) but every (round,
+        Both replicas are pre-screened alike, so their routers' IP-ID
+        streams agree.  The campaign is the fleet in its round-barrier
+        shape: each round's lanes start together when the previous
+        round's last lane is done, while a plain fleet's lanes cycle
+        from one round into the next.  At one round the two shapes
+        coincide, so routes (timestamps and IP-IDs included), counters
+        and the metrics signature must match.  Over two rounds the
+        second round starts at different instants, so every (round,
         destination, tool) inference — addresses, forensics, halt —
-        must match the pipelined campaign's.
+        must match, but not the timestamps.
         """
-        topo = deterministic_internet(vantages=1)
-        dests = select_pingable_destinations(
-            topo.network, topo.source, topo.destination_addresses, seed=5)
-        fleet_result = FleetCampaign(
-            topo.network, topo.sources, dests,
-            FleetConfig(rounds=2, workers=4, seed=5)).run()
-        topo2 = deterministic_internet(vantages=1)
-        campaign = Campaign(
-            topo2.network, topo2.source, dests,
-            CampaignConfig(rounds=2, workers=4, seed=5,
-                           engine="pipelined"))
-        campaign_result = campaign.run()
-        fleet_routes = fleet_result.vantages[0].result.routes
-        assert (sorted(inference_signature(r) for r in fleet_routes)
-                == sorted(inference_signature(r)
-                          for r in campaign_result.routes))
+        replicas = []
+        for __ in range(2):
+            topo = deterministic_internet(vantages=1)
+            dests = select_pingable_destinations(
+                topo.network, topo.source, topo.destination_addresses,
+                seed=5)
+            topo.network.metrics = MetricsRegistry()
+            replicas.append((topo, dests))
+        (fleet_topo, dests), (campaign_topo, campaign_dests) = replicas
+        assert campaign_dests == dests
+        fleet = FleetCampaign(
+            fleet_topo.network, fleet_topo.sources, dests,
+            FleetConfig(rounds=rounds, workers=4, seed=5)).run()
+        fleet_result = fleet.vantages[0].result
+        campaign_result = Campaign(
+            campaign_topo.network, campaign_topo.source, dests,
+            CampaignConfig(rounds=rounds, workers=4, seed=5,
+                           engine="pipelined")).run()
+        if rounds == 1:
+            assert ([route_to_dict(r) for r in fleet_result.routes]
+                    == [route_to_dict(r) for r in campaign_result.routes])
+            assert fleet_result.probes_sent == campaign_result.probes_sent
+            assert (fleet_result.responses_received
+                    == campaign_result.responses_received)
+            assert (fleet.metrics.deterministic_signature()
+                    == campaign_result.metrics.deterministic_signature())
+        else:
+            assert (sorted(inference_signature(r)
+                           for r in fleet_result.routes)
+                    == sorted(inference_signature(r)
+                              for r in campaign_result.routes))
 
 
 class TestAssignmentModes:

@@ -61,7 +61,8 @@ class TestShardDeterminism:
         assert [v.index for v in single.vantages] == [0, 1, 2, 3]
         assert single.labels == ["S", "S1", "S2", "S3"]
 
-    def test_sharded_byte_identical_under_fault_profile(self, fleet_config):
+    def test_sharded_byte_identical_under_fault_profile(self, single,
+                                                       fleet_config):
         """The PR 3 guarantee with the adversarial fault profile on:
         jitter, spikes, duplication, rate limiting, and loss bursts are
         all keyed per probing client, so fault timelines are vantage-
@@ -69,13 +70,12 @@ class TestShardDeterminism:
         internet = replace(SEC3_INTERNET,
                            fault_profile=make_fault_profile("adversarial",
                                                             seed=5))
-        single = run_fleet(internet, fleet_config)
+        faulted = run_fleet(internet, fleet_config)
         sharded = run_fleet_sharded(internet, fleet_config, shards=2)
-        assert sharded.signature() == single.signature()
+        assert sharded.signature() == faulted.signature()
         # And the faults actually bit: the adversarial run differs from
         # the clean topology's run.
-        clean = run_fleet(SEC3_INTERNET, fleet_config)
-        assert single.signature() != clean.signature()
+        assert faulted.signature() != single.signature()
 
     def test_process_pool_matches_inline(self, fleet_config):
         inline = run_fleet_sharded(TINY_INTERNET,
