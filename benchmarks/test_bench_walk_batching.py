@@ -244,7 +244,8 @@ METRICS_ENABLED_MARGIN = 1.08
 
 @pytest.mark.benchmark(group="walk")
 def test_bench_walk_metrics_overhead(benchmark):
-    """Instrumentation tax: enabled < 5 %, disabled within noise."""
+    """Instrumentation tax: enabled at most METRICS_ENABLED_MARGIN
+    (1.08x) on the kinder of two estimates, disabled within noise."""
     import gc
 
     wall_times = {"none": [], "off": [], "on": []}
@@ -333,5 +334,6 @@ def test_bench_walk_metrics_overhead(benchmark):
     assert first["on"]["routes"] == first["none"]["routes"]
     # Disabled registry rides the no-op fast path: no separate budget.
     assert walls["off"] <= walls["none"] * WALL_NOISE_MARGIN
-    # Enabled registry stays under the 5 % instrumentation budget.
+    # Enabled registry: the kinder of the paired and pooled ratios is
+    # at most METRICS_ENABLED_MARGIN (1.08).
     assert 1.0 + overhead <= METRICS_ENABLED_MARGIN

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.net.packet import Packet
-from repro.obs.registry import active_registry
+from repro.obs.registry import NULL_CHILD, active_registry
 from repro.sim.endhost import MeasurementHost
 from repro.sim.network import Network
 from repro.sim.socketapi import (
@@ -58,12 +58,12 @@ class AsyncProbeSocket:
         self.responses_received = 0
         self._outbox: list[Packet] = []
         self._next_token = 0
-        # probes_sent / responses_received are maintained as plain ints
-        # either way; with a registry on the network a collector mirrors
-        # them into counter children at snapshot time, so the hot send
-        # and poll paths pay nothing for instrumentation.
+        # probes_sent / responses_received stay plain ints (results
+        # read them); the bound children mirror them at each event.
         registry = active_registry(network)
-        if registry is not None:
+        if registry is None:
+            self._m_sent = self._m_received = NULL_CHILD
+        else:
             client = str(host.address)
             self._m_sent = registry.counter(
                 "repro_probes_sent_total",
@@ -73,20 +73,6 @@ class AsyncProbeSocket:
                 "repro_responses_received_total",
                 "Responses surfaced at the vantage point, per client.",
                 ("client",)).labels(client)
-            self._m_published = [0, 0]
-            registry.add_collector(self._collect_metrics)
-
-    def _collect_metrics(self) -> None:
-        """Publish the socket's count deltas (collect-on-scrape)."""
-        published = self._m_published
-        delta = self.probes_sent - published[0]
-        if delta:
-            self._m_sent.inc(delta)
-            published[0] = self.probes_sent
-        delta = self.responses_received - published[1]
-        if delta:
-            self._m_received.inc(delta)
-            published[1] = self.responses_received
 
     @property
     def source_address(self):
@@ -109,6 +95,7 @@ class AsyncProbeSocket:
         else:
             probe = parse_probe(probe, self.host)
         self.probes_sent += 1
+        self._m_sent.inc()
         self._outbox.append(probe)
         now = self.network.clock.now
         wait = self.timeout if timeout is None else timeout
@@ -161,5 +148,7 @@ class AsyncProbeSocket:
         # Everything that reached the vantage point counts as received,
         # matched to a probe or not — the same stance the blocking
         # socket takes on deliveries it cannot tie to its probe.
-        self.responses_received += len(responses)
+        if responses:
+            self.responses_received += len(responses)
+            self._m_received.inc(len(responses))
         return responses

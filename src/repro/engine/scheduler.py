@@ -326,9 +326,8 @@ class _Lane:
     #: dict.  Fleet lanes pass a per-vantage dict so one vantage's halt
     #: depths never pace another vantage's traces.
     hints: Optional[dict] = None
-    #: Cached :class:`_SocketInstruments` bundle for this lane's socket
-    #: (filled on first pump when metrics are on — per-event dict
-    #: probes are measurable at campaign probe rates).
+    #: The :class:`_SocketInstruments` bundle of this lane's socket,
+    #: bound at registration (None when metrics are off).
     mx: object = None
 
 
@@ -347,109 +346,61 @@ _CLAIM_TOLERANCE = 1e-6
 
 
 class _SocketInstruments:
-    """One vantage point's event accumulators (claims, timeouts...).
+    """One vantage point's bound scheduler series, plus its claim memo.
 
-    The event loop bumps plain ints and small value->count dicts —
-    never a metric object — and :meth:`collect` (registered as a
-    registry collector) publishes the running totals into children
-    bound once per socket when a snapshot is taken.  At campaign probe
-    rates this accumulate-then-flush split is the difference between
-    percent-level and noise-level overhead.
-
-    Determinism across shard compositions holds because every
-    accumulator is a pure function of the socket's own timeline: the
-    histogram dicts iterate in first-occurrence order of each value
-    within that timeline, so even the flushed float sums are
-    byte-identical.
+    The children are bound once per socket and bumped where each event
+    happens.  Every series is a pure function of the socket's own
+    timeline, so the values — histogram float sums included, which
+    accumulate in that timeline's event order — are byte-identical
+    across shard compositions.
     """
 
     __slots__ = ("claims", "timeouts", "stale", "duplicate", "unmatched",
-                 "flush", "occupancy", "timeout_s", "answered",
-                 "_children", "_published")
-
-    _COUNTERS = ("claims", "timeouts", "stale", "duplicate", "unmatched")
-    _HISTOGRAMS = ("flush", "occupancy", "timeout_s")
+                 "flush", "occupancy", "timeout_s", "answered")
 
     def __init__(self, registry, client: str) -> None:
-        self.claims = 0
-        self.timeouts = 0
-        self.stale = 0
-        self.duplicate = 0
-        self.unmatched = 0
-        self.flush: dict[int, int] = {}
-        self.occupancy: dict[int, int] = {}
-        self.timeout_s: dict[float, int] = {}
+        def counter(name, help_text):
+            return registry.counter(name, help_text,
+                                    ("client",)).labels(client)
+
+        def histogram(name, help_text, buckets):
+            return registry.histogram(name, help_text, ("client",),
+                                      buckets=buckets).labels(client)
+
+        self.claims = counter(
+            "repro_scheduler_claims_total",
+            "Responses matched to an outstanding probe, per client.")
+        self.timeouts = counter(
+            "repro_scheduler_timeouts_total",
+            "Probes that expired unanswered, per client.")
+        self.stale = counter(
+            "repro_scheduler_replies_stale_total",
+            "Late replies to probes that stopped waiting, per client.")
+        self.duplicate = counter(
+            "repro_scheduler_replies_duplicate_total",
+            "Extra copies of already-claimed replies, per client.")
+        self.unmatched = counter(
+            "repro_scheduler_replies_unmatched_total",
+            "Replies matching no probe, live or dead, per client.")
+        self.flush = histogram(
+            "repro_scheduler_flush_batch_size",
+            "Staged probes per socket at each cohort flush.",
+            (1, 2, 4, 8, 16, 32, 64, 128))
+        self.occupancy = histogram(
+            "repro_scheduler_lane_occupancy",
+            "In-flight probes in a lane's window after each pump.",
+            (0, 1, 2, 4, 8, 16, 32))
+        self.timeout_s = histogram(
+            "repro_scheduler_probe_timeout_seconds",
+            "Timeout the lane policy assigned each probe at send time.",
+            (0.1, 0.25, 0.5, 1.0, 2.0, 4.0))
         #: Demux key -> sent_at of the probe whose reply was claimed
         #: under that key; lets a later straggler with the same implied
         #: send instant be classified as a duplicate rather than a
-        #: stale reply.  Socket-local, so echo-key collisions across
-        #: vantages that start lanes on one clock cannot cross-talk.
+        #: stale reply.  Scheduler- and socket-local, so echo-key
+        #: collisions across vantages that start lanes on one clock
+        #: cannot cross-talk.
         self.answered: dict[tuple, float] = {}
-        self._children = {
-            "claims": registry.counter(
-                "repro_scheduler_claims_total",
-                "Responses matched to an outstanding probe, per client.",
-                ("client",)).labels(client),
-            "timeouts": registry.counter(
-                "repro_scheduler_timeouts_total",
-                "Probes that expired unanswered, per client.",
-                ("client",)).labels(client),
-            "stale": registry.counter(
-                "repro_scheduler_replies_stale_total",
-                "Late replies to probes that stopped waiting, per client.",
-                ("client",)).labels(client),
-            "duplicate": registry.counter(
-                "repro_scheduler_replies_duplicate_total",
-                "Extra copies of already-claimed replies, per client.",
-                ("client",)).labels(client),
-            "unmatched": registry.counter(
-                "repro_scheduler_replies_unmatched_total",
-                "Replies matching no probe, live or dead, per client.",
-                ("client",)).labels(client),
-            "flush": registry.histogram(
-                "repro_scheduler_flush_batch_size",
-                "Staged probes per socket at each cohort flush.",
-                ("client",),
-                buckets=(1, 2, 4, 8, 16, 32, 64, 128)).labels(client),
-            "occupancy": registry.histogram(
-                "repro_scheduler_lane_occupancy",
-                "In-flight probes in a lane's window after each pump.",
-                ("client",),
-                buckets=(0, 1, 2, 4, 8, 16, 32)).labels(client),
-            "timeout_s": registry.histogram(
-                "repro_scheduler_probe_timeout_seconds",
-                "Timeout the lane policy assigned each probe at send time.",
-                ("client",),
-                buckets=(0.1, 0.25, 0.5, 1.0, 2.0, 4.0)).labels(client),
-        }
-        self._published: dict = {name: 0 for name in self._COUNTERS}
-        for name in self._HISTOGRAMS:
-            self._published[name] = {}
-        registry.add_collector(self.collect)
-
-    def collect(self) -> None:
-        """Publish accumulated deltas into the bound children.
-
-        Delta-based (not absolute) so repeated snapshots stay correct,
-        and so several bundles for one socket — campaigns build a fresh
-        scheduler per round — publish additively into shared children.
-        """
-        children = self._children
-        published = self._published
-        for name in self._COUNTERS:
-            total = getattr(self, name)
-            delta = total - published[name]
-            if delta:
-                children[name].inc(delta)
-                published[name] = total
-        for name in self._HISTOGRAMS:
-            done = published[name]
-            child = children[name]
-            for value, n in getattr(self, name).items():
-                delta = n - done.get(value, 0)
-                if delta:
-                    child.observe(value, delta)
-                    done[value] = n
 
 
 class ProbeScheduler:
@@ -508,10 +459,10 @@ class ProbeScheduler:
         # of falling through to the full matching scan.
         self._dead_keys: set[tuple] = set()
         # Observability: families are created once here; per-socket
-        # children bind lazily in _instruments().  With no registry the
-        # children are no-op singletons and _obs gates the bookkeeping
-        # (answered-send map, straggler classification) that a no-op
-        # call would not absorb.
+        # children bind in _instruments() when a lane registers the
+        # socket.  _obs gates every event-site bump, and with it the
+        # bookkeeping (answered-send map, straggler classification)
+        # that a no-op child would not absorb.
         registry = active_registry(network)
         self._obs = registry is not None
         self._metrics = registry if registry is not None else NULL_REGISTRY
@@ -526,13 +477,6 @@ class ProbeScheduler:
             "depends on cohort composition).",
             (), scope=SCOPE_PROCESS,
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256)).labels()
-        # Cohort sizes accumulate here (value -> count) and flush into
-        # _mc_cohort at snapshot time, same delta discipline as the
-        # per-socket bundles.
-        self._cohort_acc: dict[int, int] = {}
-        self._cohort_pub: dict[int, int] = {}
-        if self._obs:
-            registry.add_collector(self._collect_cohort)
 
     # -- building the workload ------------------------------------------
     def add_lane(self, specs: Iterable,
@@ -557,27 +501,19 @@ class ProbeScheduler:
                      timeout_policy=(timeout_policy if timeout_policy
                                      is not None else self.timeout_policy),
                      hints=(horizon_hints if horizon_hints is not None
-                            else self.horizon_hints))
+                            else self.horizon_hints),
+                     mx=self._instruments(socket) if self._obs else None)
         self.lanes.append(lane)
         return lane.index
 
     def _instruments(self, socket: AsyncProbeSocket) -> _SocketInstruments:
-        """The socket's accumulator bundle (created on first use)."""
+        """The socket's bound series bundle (created on first use)."""
         bundle = self._instruments_by_socket.get(id(socket))
         if bundle is None:
             bundle = _SocketInstruments(self._metrics,
                                         str(socket.source_address))
             self._instruments_by_socket[id(socket)] = bundle
         return bundle
-
-    def _collect_cohort(self) -> None:
-        """Publish the cohort-size accumulator delta at snapshot time."""
-        published = self._cohort_pub
-        for value, n in self._cohort_acc.items():
-            delta = n - published.get(value, 0)
-            if delta:
-                self._mc_cohort.observe(value, delta)
-                published[value] = n
 
     # -- the event loop --------------------------------------------------
     def run(self) -> list[TraceOutcome]:
@@ -659,15 +595,11 @@ class ProbeScheduler:
                     # vantage's own timeline (one event per iteration,
                     # arrivals processed per socket, then one flush) —
                     # deterministic across shard compositions.
-                    acc = self._instruments(sock).flush
-                    n = len(staged)
-                    acc[n] = acc.get(n, 0) + 1
+                    self._instruments(sock).flush.observe(len(staged))
         if not batches:
             return
         if self._obs:
-            acc = self._cohort_acc
-            n = sum(len(p) for __, p in batches)
-            acc[n] = acc.get(n, 0) + 1
+            self._mc_cohort.observe(sum(len(p) for __, p in batches))
         result = self.network.submit_cohorts(batches)
         if self._tracer is not None:
             self._annotate_drops(result)
@@ -741,12 +673,7 @@ class ProbeScheduler:
         session = lane.session
         if session is None or session.done:
             return
-        obs = self._obs
-        mx = None
-        if obs:
-            mx = lane.mx
-            if mx is None:
-                mx = lane.mx = self._instruments(lane.socket)
+        mx = lane.mx
         tracer = self._tracer
         for request in session.strategy.next_probes():
             if request.timeout is not None:
@@ -765,9 +692,8 @@ class ProbeScheduler:
             for key in keys:
                 self._index.setdefault(key, set()).add(probe_id)
             self.events.push(sent.deadline, EventKind.EXPIRE, probe_id)
-            if obs:
-                acc = mx.timeout_s
-                acc[timeout] = acc.get(timeout, 0) + 1
+            if mx is not None:
+                mx.timeout_s.observe(timeout)
             if tracer is not None:
                 tracer.begin(probe_id,
                              client=lane.socket.source_address,
@@ -776,10 +702,8 @@ class ProbeScheduler:
                              sent_at=sent.sent_at,
                              deadline=sent.deadline,
                              keys=keys)
-        if obs:
-            acc = mx.occupancy
-            n = len(session.tokens)
-            acc[n] = acc.get(n, 0) + 1
+        if mx is not None:
+            mx.occupancy.observe(len(session.tokens))
         if session.done:
             # The strategy finished while emitting (no probe needed).
             self._retire(lane, session)
@@ -841,10 +765,7 @@ class ProbeScheduler:
         if record is None:
             return
         if self._obs:
-            mx = record.lane.mx
-            if mx is None:
-                mx = record.lane.mx = self._instruments(record.lane.socket)
-            mx.timeouts += 1
+            record.lane.mx.timeouts.inc()
         if self._tracer is not None:
             self._tracer.close(token, "timeout", self.clock.now)
         self._forget(token)
@@ -863,9 +784,7 @@ class ProbeScheduler:
         if self._obs:
             # The claim fence guarantees record.lane.socket is sock.
             mx = record.lane.mx
-            if mx is None:
-                mx = record.lane.mx = self._instruments(sock)
-            mx.claims += 1
+            mx.claims.inc()
             answered = mx.answered
             for key in record.keys:
                 answered[key] = record.sent_at
@@ -901,11 +820,11 @@ class ProbeScheduler:
                 if (sent_at is not None
                         and abs(sent_at - implied_send)
                         <= _CLAIM_TOLERANCE):
-                    mx.duplicate += 1
+                    mx.duplicate.inc()
                     return
-            mx.stale += 1
+            mx.stale.inc()
         else:
-            mx.unmatched += 1
+            mx.unmatched.inc()
 
     def _is_fresh(self, response: ProbeResponse,
                   record: _Outstanding) -> bool:

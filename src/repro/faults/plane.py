@@ -78,14 +78,12 @@ class DeliveryFaultPlane:
         #: Diagnostics: how many deliveries were delayed / duplicated.
         self.delayed = 0
         self.duplicated = 0
-        # Fault actions accumulate per recipient as plain [jitter,
-        # spike, duplicate] counts, keyed on the registry identity so a
-        # replaced registry restarts the accumulator; a registry
-        # collector publishes them at snapshot time (apply runs per
-        # walk — any registry traffic is too slow for that path).
+        # Per-recipient (jitter, spike, duplicate) counter children,
+        # bound when the plane first sees a recipient and keyed on the
+        # registry identity so a replaced registry rebinds.
         self._m_registry = None
-        self._m_acc: dict[IPv4Address, list] = {}
-        self._m_published: dict = {}
+        self._m_family = None
+        self._m_children: dict[IPv4Address, tuple] = {}
 
     def _stream(self, recipient: IPv4Address) -> random.Random:
         """The recipient's private draw stream (stable across processes:
@@ -111,14 +109,16 @@ class DeliveryFaultPlane:
         per-recipient counter, which stays deterministic across shard
         compositions because the draws themselves are per-recipient.
         """
-        counts = None
+        bound = None
         if metrics is not None and metrics.enabled:
             if self._m_registry is not metrics:
                 self._m_registry = metrics
-                self._m_acc = {}
-                self._m_published = {}
-                metrics.add_collector(self._collect)
-            counts = self._m_acc
+                self._m_family = metrics.counter(
+                    "repro_fault_delivery_total",
+                    "In-flight delivery faults applied, per client and kind.",
+                    ("client", "action"))
+                self._m_children = {}
+            bound = self._m_children
         copies: list[Delivery] = []
         for delivery in result.deliveries:
             if not self.applies_to(delivery):
@@ -126,19 +126,23 @@ class DeliveryFaultPlane:
             recipient = delivery.packet.dst
             rng = self._stream(recipient)
             trio = None
-            if counts is not None:
-                trio = counts.get(recipient)
+            if bound is not None:
+                trio = bound.get(recipient)
                 if trio is None:
-                    trio = counts[recipient] = [0, 0, 0]
+                    # All three series, zero-valued ones included, for
+                    # every recipient that traverses the plane.
+                    trio = bound[recipient] = tuple(
+                        self._m_family.labels(str(recipient), action)
+                        for action in ("jitter", "spike", "duplicate"))
             extra = 0.0
             if self.jitter > 0.0:
                 extra += rng.random() * self.jitter
                 if trio is not None:
-                    trio[0] += 1
+                    trio[0].inc()
             if self.spike_rate > 0.0 and rng.random() < self.spike_rate:
                 extra += self.spike_delay
                 if trio is not None:
-                    trio[1] += 1
+                    trio[1].inc()
             if extra > 0.0:
                 delivery.elapsed += extra
                 self.delayed += 1
@@ -153,33 +157,5 @@ class DeliveryFaultPlane:
                 ))
                 self.duplicated += 1
                 if trio is not None:
-                    trio[2] += 1
+                    trio[2].inc()
         result.deliveries.extend(copies)
-
-    _ACTIONS = ("jitter", "spike", "duplicate")
-
-    def _collect(self) -> None:
-        """Publish accumulated per-recipient fault deltas on snapshot.
-
-        Every recipient that traversed the plane gets all three series
-        (zero-valued ones included) so the label universe matches what
-        eager child binding used to produce — merged snapshots stay
-        identical across shard compositions either way, since recipient
-        sets are delivery-driven and vantage-local.
-        """
-        family = self._m_registry.counter(
-            "repro_fault_delivery_total",
-            "In-flight delivery faults applied, per client and kind.",
-            ("client", "action"))
-        published = self._m_published
-        for recipient, trio in self._m_acc.items():
-            client = str(recipient)
-            done = published.get(recipient)
-            if done is None:
-                done = published[recipient] = [0, 0, 0]
-            for slot, action in enumerate(self._ACTIONS):
-                delta = trio[slot] - done[slot]
-                child = family.labels(client, action)
-                if delta:
-                    child.inc(delta)
-                    done[slot] = trio[slot]

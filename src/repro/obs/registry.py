@@ -3,7 +3,10 @@
 The registry hands out metric *families* (Counter, Gauge, Histogram);
 a family plus a tuple of label values names one *series* (a child).
 Children are cached per label tuple so hot paths bind them once and
-pay only an attribute increment per event.
+pay only an attribute increment per event.  The children are the only
+place a count lives: components bump them where the event happens,
+:meth:`MetricsRegistry.snapshot` copies them, and
+:meth:`MetricsRegistry.reset` zeroes them.
 
 Two scopes, one determinism contract:
 
@@ -322,7 +325,6 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._families: Dict[str, _Family] = {}
-        self._collectors: list = []
 
     def counter(self, name, help_text="", labelnames=(),
                 scope=SCOPE_CLIENT):
@@ -366,22 +368,8 @@ class MetricsRegistry:
         self._families[name] = family
         return family
 
-    def add_collector(self, fn) -> None:
-        """Register ``fn()`` to run before every :meth:`snapshot`.
-
-        Hot components accumulate events in plain ints and publish the
-        delta into their bound children only when a snapshot is taken
-        (collect-on-scrape).  Collectors must be idempotent across
-        repeated snapshots — publish deltas, not totals.  No-op on a
-        disabled registry.
-        """
-        if self.enabled:
-            self._collectors.append(fn)
-
     def snapshot(self) -> MetricsSnapshot:
         """Plain-data copy of every family (picklable across shards)."""
-        for fn in self._collectors:
-            fn()
         snap = MetricsSnapshot()
         for name, family in self._families.items():
             series = {}
@@ -400,7 +388,7 @@ class MetricsRegistry:
         return snap
 
     def reset(self):
-        """Zero every series in place (families stay registered)."""
+        """Zero every series in place (families and children stay bound)."""
         for family in self._families.values():
             for child in family._children.values():
                 if family.kind == "histogram":

@@ -155,55 +155,12 @@ class _Segment:
         self.entry = entry
 
 
-class _TransitAccumulator:
-    """Network-held transit counters, published on snapshot.
-
-    A walk is built per cohort batch, so even bound-child publishing
-    per batch costs measurable wall at campaign rates.  Walks add
-    plain ints here instead and :meth:`collect` (registered as a
-    registry collector) publishes the running totals — as deltas, so
-    repeated snapshots stay correct — when one is actually taken.
-    """
-
-    _COUNTERS = ("zooms", "zoom_hops", "seg_jumps", "seg_jump_hops",
-                 "segments", "memo_hits", "resolutions")
-
-    __slots__ = _COUNTERS + ("registry", "zoom_length", "_published")
-
-    def __init__(self, registry) -> None:
-        self.registry = registry
-        for name in self._COUNTERS:
-            setattr(self, name, 0)
-        #: zoom run length -> occurrences, across every walk so far.
-        self.zoom_length: dict = {}
-        self._published: dict = {name: 0 for name in self._COUNTERS}
-        self._published["zoom_length"] = {}
-        registry.add_collector(self.collect)
-
-    def collect(self) -> None:
-        """Publish accumulated deltas into the transit plane's series."""
-        children = _bind_transit_children(self.registry)
-        published = self._published
-        for name in self._COUNTERS:
-            total = getattr(self, name)
-            delta = total - published[name]
-            if delta:
-                children[name].inc(delta)
-                published[name] = total
-        done = published["zoom_length"]
-        histogram = children["zoom_length"]
-        for length in sorted(self.zoom_length):
-            delta = self.zoom_length[length] - done.get(length, 0)
-            if delta:
-                histogram.observe(length, delta)
-                done[length] = self.zoom_length[length]
-
-
 def _bind_transit_children(metrics) -> dict:
     """The transit plane's label-less metric children.
 
-    Called from :meth:`_TransitAccumulator.collect` — a snapshot-time
-    path, so the family lookups per call are immaterial.
+    Bound once per (network, registry) by
+    :meth:`_BatchedWalk._publish_metrics`, so the family lookups here
+    never run per walk.
     """
     from repro.obs.registry import SCOPE_PROCESS
 
@@ -292,13 +249,13 @@ class _BatchedWalk:
         # The network's address -> node index (one dict probe decides
         # destination locality — never a scan over nodes).
         self._owner_of = network._address_index
-        # Transit-plane observability: counts accumulate in plain ints
-        # gated by one local bool inside the zoom loop and publish to
-        # the registry once at the end of run() — the hot loop never
-        # touches a metric object.  These series are process-scope:
-        # which traveler warms a memo depends on cohort composition, so
-        # they are advisory and excluded from the deterministic
-        # snapshot comparison.
+        # Transit-plane observability: counts accumulate in walk-local
+        # ints gated by one local bool inside the zoom loop and are
+        # added to the bound children once at the end of run() — the
+        # hot loop never touches a metric object.  These series are
+        # process-scope: which traveler warms a memo depends on cohort
+        # composition, so they are advisory and excluded from the
+        # deterministic snapshot comparison.
         from repro.obs.registry import active_registry
 
         self._metrics = active_registry(network)
@@ -361,31 +318,31 @@ class _BatchedWalk:
         return self.result
 
     def _publish_metrics(self) -> None:
-        """Add this walk's transit counts to the network's accumulator.
+        """Add this walk's transit counts into the bound children.
 
-        A walk is built per cohort batch, so the accumulator lives on
-        the *network* (keyed on the registry identity) and defers all
-        registry traffic to snapshot time.
+        A walk is built per cohort batch, so the children are bound on
+        the *network*, once per registry.
         """
-        acc = self.network._obs_transit_acc
-        if acc is None or acc.registry is not self._metrics:
-            acc = _TransitAccumulator(self._metrics)
-            self.network._obs_transit_acc = acc
-        acc.zooms += self._zooms
-        acc.zoom_hops += self._zoom_hops
-        acc.seg_jumps += self._seg_jumps
-        acc.seg_jump_hops += self._seg_jump_hops
-        acc.segments += self._segments_recorded
-        acc.memo_hits += self._memo_hits
-        acc.resolutions += self._walk_resolutions
+        bound = self.network._transit_series
+        if bound is None or bound[0] is not self._metrics:
+            bound = (self._metrics, _bind_transit_children(self._metrics))
+            self.network._transit_series = bound
+        children = bound[1]
+        for name, count in (("zooms", self._zooms),
+                            ("zoom_hops", self._zoom_hops),
+                            ("seg_jumps", self._seg_jumps),
+                            ("seg_jump_hops", self._seg_jump_hops),
+                            ("segments", self._segments_recorded),
+                            ("memo_hits", self._memo_hits),
+                            ("resolutions", self._walk_resolutions)):
+            if count:
+                children[name].inc(count)
         # Network-wide LPM totals are summed over every router, which
         # is far too slow for a per-batch flush: the campaign layer
         # publishes them once per run as ``repro_fib_route_lookups``.
-        lengths = self._zoom_lengths
-        if lengths:
-            totals = acc.zoom_length
-            for length, count in lengths.items():
-                totals[length] = totals.get(length, 0) + count
+        histogram = children["zoom_length"]
+        for length, count in self._zoom_lengths.items():
+            histogram.observe(length, count)
 
     # -- transit ---------------------------------------------------------
     def launch(self, traveler: _Traveler, egress: Interface) -> None:

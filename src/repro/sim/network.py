@@ -96,10 +96,10 @@ class Network:
         #: Optional :class:`repro.obs.ProbeTracer` recording probe
         #: lifecycle spans on this network's simulated clock.
         self.tracer = None
-        # Transit-plane metrics accumulator filled by the batched
-        # walk's publish path (walks are rebuilt per cohort batch, so
-        # they cannot carry it themselves).
-        self._obs_transit_acc = None
+        # (registry, children) of the transit-plane series the batched
+        # walk bumps (walks are rebuilt per cohort batch, so they cannot
+        # carry the binding themselves).
+        self._transit_series = None
         # Asynchronous delivery buffer: (absolute arrival time, sequence
         # number, Delivery) heap fed by submit()/submit_cohort() and
         # drained by deliveries().  The sequence number keeps the pop

@@ -145,13 +145,10 @@ class Router(Node):
         self.lookup_count = 0
         # Bound rate-limit counter children per (client, action), keyed
         # on the registry identity so a replaced registry rebinds — the
-        # token bucket fires per probe, too hot for family lookups.
-        # Rate-limit outcomes accumulate as plain (client, action) ->
-        # count entries; a registry collector publishes them at
-        # snapshot time (this path fires per expiring probe).
+        # token bucket fires per expiring probe, too hot for family
+        # lookups.
         self._rl_registry = None
-        self._rl_acc: dict = {}
-        self._rl_published: dict = {}
+        self._rl_children: dict = {}
 
     def reset_counters(self) -> None:
         """Zero the LPM resolution counter (memos stay warm).
@@ -442,29 +439,20 @@ class Router(Node):
                       else "defer" if delay > 0.0 else "pass")
             if self._rl_registry is not metrics:
                 self._rl_registry = metrics
-                self._rl_acc = {}
-                self._rl_published = {}
-                metrics.add_collector(self._collect_rate_limit)
-            acc = self._rl_acc
+                self._rl_children = {}
             key = (packet.src, action)
-            acc[key] = acc.get(key, 0) + 1
+            child = self._rl_children.get(key)
+            if child is None:
+                child = self._rl_children[key] = metrics.counter(
+                    "repro_fault_rate_limit_total",
+                    "ICMP token-bucket outcomes per router and client.",
+                    ("router", "client", "action"),
+                ).labels(self.name, str(packet.src), action)
+            child.inc()
         if delay is None:
             return [Drop(self, packet, "icmp rate limited")]
         response = self.make_time_exceeded(packet, in_interface)
         return self._emit_response(response, packet, delay=delay)
-
-    def _collect_rate_limit(self) -> None:
-        """Publish accumulated token-bucket outcome deltas on snapshot."""
-        family = self._rl_registry.counter(
-            "repro_fault_rate_limit_total",
-            "ICMP token-bucket outcomes per router and client.",
-            ("router", "client", "action"))
-        published = self._rl_published
-        for (src, action), total in self._rl_acc.items():
-            delta = total - published.get((src, action), 0)
-            if delta:
-                family.labels(self.name, str(src), action).inc(delta)
-                published[(src, action)] = total
 
     def dispatch(self, packet: Packet, network: "Network") -> list[Action]:
         """Route a locally-generated packet (no TTL decrement here)."""

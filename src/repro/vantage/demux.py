@@ -128,7 +128,7 @@ class VantageSocket(AsyncProbeSocket):
                 rtt=delivery.elapsed,
                 received_at=arrival,
             ))
-        # responses_received flows to the metrics child through the
-        # collector registered by the base socket.
-        self.responses_received += len(responses)
+        if responses:
+            self.responses_received += len(responses)
+            self._m_received.inc(len(responses))
         return responses

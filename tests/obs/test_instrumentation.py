@@ -2,10 +2,13 @@
 
 Each anomaly class — stale straggler, network duplicate, unmatched
 reply, wrong-vantage surfacing — must increment exactly one labeled
-series, keyed by the probing client, and only become visible through
-a registry snapshot (the collect-on-scrape contract).
+series, keyed by the probing client.  Components bump their bound
+registry children where the event happens, so a reset leaves no count
+behind and the registry holds no reference to the components.
 """
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -152,3 +155,45 @@ class TestWrongVantage:
             == sock_a.probes_sent > 0
         assert snap.value("repro_responses_received_total", SA) \
             == sock_a.responses_received > 0
+
+
+def is_zero(value):
+    """True for a zero counter/gauge value or an empty histogram."""
+    if isinstance(value, dict):
+        return (value["count"] == 0 and value["sum"] == 0
+                and not any(value["bucket_counts"]))
+    return value == 0
+
+
+class TestRegistryLifetime:
+    def test_reset_leaves_nothing_behind(self, world):
+        # No snapshot before the reset: every count taken so far must
+        # already sit in a series the reset zeroes.
+        network, __, sock_a, *___ = claimed_response(world)
+        assert sock_a.probes_sent > 0
+        network.reset_counters()
+        snap = network.metrics.snapshot()
+        leftovers = {(name, key): value
+                     for name, fam in snap.families.items()
+                     for key, value in fam["series"].items()
+                     if not is_zero(value)}
+        assert leftovers == {}
+        # The series survive the reset, zeroed.
+        assert snap.value("repro_probes_sent_total", SA) == 0
+        assert snap.value("repro_scheduler_claims_total", SA) == 0
+
+    def test_registry_keeps_no_scheduler_alive(self, world):
+        network, sa, __, dest = world
+        scheduler = ProbeScheduler(network, sa, window=1)
+        paris = ParisTraceroute(scheduler.socket, seed=1)
+        scheduler.add_lane([TraceSpec(paris, dest.address)])
+        scheduler.run()
+        claims = network.metrics.snapshot().value(
+            "repro_scheduler_claims_total", SA)
+        assert claims > 0
+        alive = weakref.ref(scheduler)
+        del scheduler
+        gc.collect()
+        assert alive() is None
+        assert network.metrics.snapshot().value(
+            "repro_scheduler_claims_total", SA) == claims

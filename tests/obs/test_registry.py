@@ -1,5 +1,6 @@
 """Unit contract of the metrics registry: families, labels, scopes,
-the disabled fast path, collect-on-scrape, and snapshot merging."""
+the disabled fast path, snapshots and resets of the live children, and
+snapshot merging."""
 
 import pytest
 
@@ -101,41 +102,13 @@ class TestDisabledRegistry:
         child.observe(1.5)
         assert registry.snapshot().families == {}
 
-    def test_collectors_never_registered(self):
-        registry = MetricsRegistry(enabled=False)
-        fired = []
-        registry.add_collector(lambda: fired.append(1))
-        registry.snapshot()
-        assert fired == []
-
     def test_shared_null_registry_is_disabled(self):
         assert not NULL_REGISTRY.enabled
         assert NULL_REGISTRY.snapshot().families == {}
 
 
 class TestCollectOnScrape:
-    def test_collector_runs_before_snapshot_and_deltas_accumulate(self):
-        registry = MetricsRegistry()
-        child = registry.counter("repro_x_total", "", ("client",)) \
-            .labels("10.0.0.1")
-        state = {"events": 0, "published": 0}
-
-        def collect():
-            delta = state["events"] - state["published"]
-            if delta:
-                child.inc(delta)
-                state["published"] = state["events"]
-
-        registry.add_collector(collect)
-        state["events"] = 3
-        first = registry.snapshot()
-        # Idempotent across repeated scrapes: no new events, no growth.
-        second = registry.snapshot()
-        state["events"] = 5
-        third = registry.snapshot()
-        assert first.value("repro_x_total", "10.0.0.1") == 3
-        assert second.value("repro_x_total", "10.0.0.1") == 3
-        assert third.value("repro_x_total", "10.0.0.1") == 5
+    """A snapshot copies the live children; a reset zeroes them."""
 
     def test_reset_zeroes_series_but_keeps_families(self):
         registry = MetricsRegistry()
